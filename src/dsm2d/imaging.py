@@ -1,9 +1,10 @@
 """Search grids, indicator-map assembly, peak extraction, file export.
 
 Maps are evaluated over a rectangular node grid and normalized by their
-grid maximum. The sweep is organized in whole-row work units: the result
-for a row depends only on that row's coordinates, so serial and threaded
-sweeps produce bit-identical matrices regardless of worker count.
+grid maximum. The sweep is organized in fixed work units: one row for the
+data map, a band of ``BAND_ROWS`` rows for the closed form. Each value is
+an elementwise function of its own node's coordinates, so serial and
+threaded sweeps produce bit-identical matrices regardless of worker count.
 
 Exports: CSV (``x,y,value`` per node, 17 significant digits) and binary
 PGM (P5, 16-bit big-endian samples, top row = y_max).
@@ -24,6 +25,7 @@ from .model import Scene, WaveContext
 from .specfun import bessel_j1
 
 GRID_EPS = 1e-9  # guards node counting against FP drift in (max-min)/step
+BAND_ROWS = 16  # closed-form rows per work unit: vectorized, temporaries stay small
 
 
 @dataclass(frozen=True)
@@ -93,22 +95,24 @@ def _data_row_values(psi: np.ndarray, phase_x: np.ndarray,
     return np.abs(corr) * inv_denom
 
 
-def _analytic_row_values(scene: Scene, wave: WaveContext, x_nodes: np.ndarray,
-                         y: float) -> np.ndarray:
+def _analytic_band_values(scene: Scene, wave: WaveContext, x_nodes: np.ndarray,
+                          y_band: np.ndarray) -> np.ndarray:
+    # Closed form over a (rows x nx) band; every operation is elementwise,
+    # so a node's value does not depend on the band it falls in.
     k = wave.wavenumber
     d = wave.incident_direction
     mu0 = scene.background_permeability
-    total = np.zeros(x_nodes.shape, dtype=complex)
+    total = np.zeros((y_band.size, x_nodes.size), dtype=complex)
     for inc in scene.inclusions:
         dx = inc.center[0] - x_nodes
-        dy = inc.center[1] - y
+        dy = (inc.center[1] - y_band)[:, np.newaxis]
         dist = np.hypot(dx, dy)
+        # At a center dx = dy = 0 and J1(0) = 0, so the term there is exactly 0.
         safe = np.where(dist == 0.0, 1.0, dist)
         directional = (dx * d[0] + dy * d[1]) / safe
         weight = (inc.radius ** 2 * contrast_factor(inc.permeability, mu0)
                   * np.exp(1j * k * float(np.dot(d, inc.center))))
-        term = weight * directional * bessel_j1(k * dist)
-        total += np.where(dist == 0.0, 0.0, term)
+        total += weight * directional * bessel_j1(k * dist)
     return np.abs(total)
 
 
@@ -124,8 +128,9 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     grid : SearchGrid
     wavenumber : float, required for a FarFieldData source
     threads : int
-        Worker threads for the row sweep. The output is bit-identical
-        for every thread count.
+        Worker threads for the sweep, which maps over rows of the data map
+        or bands of ``BAND_ROWS`` rows of the closed form. The output is
+        bit-identical for every thread count.
     """
     xs = grid.x_nodes()
     ys = grid.y_nodes()
@@ -142,22 +147,26 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
         phase_y = np.exp(1j * wavenumber * np.outer(ys, theta[:, 1]))
         inv_denom = 1.0 / (norm_psi * math.sqrt(source.observation_set.count))
 
-        def row(iy: int) -> np.ndarray:
+        unit_rows = 1
+
+        def unit(iy: int) -> np.ndarray:
             return _data_row_values(psi, phase_x, phase_y[iy], inv_denom)
     else:
         scene, wave = source
+        unit_rows = BAND_ROWS
 
-        def row(iy: int) -> np.ndarray:
-            return _analytic_row_values(scene, wave, xs, float(ys[iy]))
+        def unit(iy: int) -> np.ndarray:
+            return _analytic_band_values(scene, wave, xs, ys[iy:iy + unit_rows])
 
+    starts = range(0, grid.ny, unit_rows)
     values = np.empty((grid.ny, grid.nx))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for iy, res in enumerate(pool.map(row, range(grid.ny))):
-                values[iy] = res
+            for iy, res in zip(starts, pool.map(unit, starts)):
+                values[iy:iy + unit_rows] = res
     else:
-        for iy in range(grid.ny):
-            values[iy] = row(iy)
+        for iy in starts:
+            values[iy:iy + unit_rows] = unit(iy)
 
     peak = values.max()
     if peak == 0.0:
@@ -229,14 +238,15 @@ def export_map(indicator_map: IndicatorMap, path, fmt: str) -> None:
     path = Path(path)
     v = indicator_map.values
     if fmt == "csv":
-        xs = indicator_map.grid.x_nodes()
-        ys = indicator_map.grid.y_nodes()
-        lines = ["x,y,value"]
-        for i, y in enumerate(ys):
-            for j, x in enumerate(xs):
-                lines.append(f"{x:.17g},{y:.17g},{v[i, j]:.17g}")
+        # Node strings are formatted once per axis; each row is then one
+        # %-format of a template "x0,y,%.17g\nx1,y,%.17g\n..." over its values.
+        x_heads = [f"{x:.17g}," for x in indicator_map.grid.x_nodes().tolist()]
+        rows = ["x,y,value\n"]
+        for y, row in zip(indicator_map.grid.y_nodes().tolist(), v):
+            tail = f"{y:.17g},%.17g\n"
+            rows.append((tail.join(x_heads) + tail) % tuple(row.tolist()))
         try:
-            path.write_text("\n".join(lines) + "\n")
+            path.write_text("".join(rows))
         except OSError as exc:
             raise OSError(f"failed writing map CSV to {path}: {exc}") from exc
     elif fmt == "pgm":
@@ -255,7 +265,11 @@ def export_map(indicator_map: IndicatorMap, path, fmt: str) -> None:
 
 def read_map_csv(path) -> np.ndarray:
     """Reload an exported CSV map as an (n_nodes, 3) array of x, y, value."""
-    rows = Path(path).read_text().strip().splitlines()
-    if not rows or rows[0] != "x,y,value":
+    with open(path) as fh:
+        header = fh.readline().strip()
+        has_nodes = bool(fh.readline().strip())
+    if header != "x,y,value":
         raise ValueError(f"{path}: expected header 'x,y,value'")
-    return np.array([[float(t) for t in row.split(",")] for row in rows[1:]])
+    if not has_nodes:
+        raise ValueError(f"{path}: no nodes after the header")
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

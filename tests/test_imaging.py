@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from dsm2d.forward import FarFieldData, synthesize_far_field
-from dsm2d.imaging import (IndicatorMap, SearchGrid, compute_map, export_map,
-                           extract_peaks, read_map_csv)
+from dsm2d.imaging import (BAND_ROWS, IndicatorMap, SearchGrid, compute_map,
+                           export_map, extract_peaks, read_map_csv)
 from dsm2d.indicator import (closed_form_magnitude, dsm_indicator_raw,
                              predicted_peaks)
-from dsm2d.model import make_observation_set
+from dsm2d.model import Inhomogeneity, Scene, make_observation_set
 
 
 def test_grid_node_counts(default_grid):
@@ -46,13 +46,51 @@ def test_data_map_matches_scalar_indicator(ex1_data, demo_wave):
     assert np.allclose(imap.values, brute, atol=1e-12)
 
 
+def _scalar_closed_form_map(scene, wave, grid):
+    brute = np.array([[closed_form_magnitude(scene, wave, np.array([x, y]))
+                       for x in grid.x_nodes()] for y in grid.y_nodes()])
+    return brute / brute.max()
+
+
 def test_analytic_map_matches_scalar_closed_form(ex1_scene, demo_wave):
     grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.1)
     imap = compute_map((ex1_scene, demo_wave), grid)
-    brute = np.array([[closed_form_magnitude(ex1_scene, demo_wave, np.array([x, y]))
-                       for x in grid.x_nodes()] for y in grid.y_nodes()])
-    brute /= brute.max()
+    brute = _scalar_closed_form_map(ex1_scene, demo_wave, grid)
     assert np.allclose(imap.values, brute, atol=1e-12)
+
+
+def _disk(x, y, permeability):
+    return Inhomogeneity(center=np.array([x, y]), radius=0.1,
+                         permeability=permeability)
+
+
+# Dyadic centers: both lie exactly on nodes of the step-0.0625 grids below.
+DYADIC_SCENE = Scene(background_permeability=1.0,
+                     inclusions=(_disk(0.5, -0.25, 5.0), _disk(-0.625, 0.375, 2.0)))
+
+
+@pytest.mark.parametrize("y_max, last_band_rows", [
+    (1.0, 1),    # 33 rows: two full bands, then a one-row band
+    (0.25, 9),   # 9 rows: fewer than one band
+])
+def test_banded_closed_form_matches_scalar_oracle(y_max, last_band_rows,
+                                                  demo_wave):
+    grid = SearchGrid(-1.0, 1.0, -y_max, y_max, 0.0625)
+    assert grid.ny % BAND_ROWS == last_band_rows
+    imap = compute_map((DYADIC_SCENE, demo_wave), grid)
+    brute = _scalar_closed_form_map(DYADIC_SCENE, demo_wave, grid)
+    assert np.max(np.abs(imap.values - brute)) <= 1e-12
+
+
+def test_closed_form_is_zero_on_a_disk_center(demo_wave):
+    scene = Scene(background_permeability=1.0,
+                  inclusions=(_disk(0.5, -0.25, 5.0),))
+    grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.0625)
+    ix = int(np.flatnonzero(grid.x_nodes() == 0.5)[0])
+    iy = int(np.flatnonzero(grid.y_nodes() == -0.25)[0])
+    imap = compute_map((scene, demo_wave), grid)
+    assert imap.values[iy, ix] == 0.0
+    assert np.all(np.isfinite(imap.values))
 
 
 def test_map_is_grid_max_normalized(ex1_analytic_map):
@@ -90,15 +128,15 @@ def test_map_invariant_under_data_scaling(ex1_data, demo_wave):
     assert np.argmax(base.values) == np.argmax(scaled.values)
 
 
-def test_map_thread_count_is_bit_invariant(ex1_data, ex1_scene, demo_wave):
-    grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.05)
+def test_map_thread_count_is_bit_invariant(ex1_data, ex2_scene, demo_wave):
+    grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.05)  # 41 rows: bands 16, 16, 9
     serial = compute_map(ex1_data, grid, wavenumber=demo_wave.wavenumber)
     threaded = compute_map(ex1_data, grid, wavenumber=demo_wave.wavenumber,
                            threads=4)
     assert np.array_equal(serial.values, threaded.values)
-    serial_a = compute_map((ex1_scene, demo_wave), grid)
-    threaded_a = compute_map((ex1_scene, demo_wave), grid, threads=3)
-    assert np.array_equal(serial_a.values, threaded_a.values)
+    blobs = {compute_map((ex2_scene, demo_wave), grid, threads=t).values.tobytes()
+             for t in (1, 2, 3)}
+    assert len(blobs) == 1
 
 
 def test_map_rejects_missing_wavenumber(ex1_data):
@@ -229,6 +267,21 @@ def test_csv_round_trip_full_precision(tmp_path, ex1_scene, demo_wave):
     assert np.array_equal(rows[:25, 0].reshape(5, 5)[0], grid.x_nodes())
 
 
+def test_csv_export_is_byte_identical_to_per_node_reference(tmp_path):
+    grid = SearchGrid(-0.7, 0.3, -1.3, -0.9, 0.1)  # 11 x 5 nodes
+    values = np.random.default_rng(3).random((grid.ny, grid.nx))
+    values.flat[:6] = [0.0, 1.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 1.0 - 2.0 ** -53]
+    imap = IndicatorMap(grid=grid, values=values)
+    path = tmp_path / "map.csv"
+    export_map(imap, path, "csv")
+    reference = "x,y,value\n" + "".join(
+        f"{x:.17g},{y:.17g},{imap.values[i, j]:.17g}\n"
+        for i, y in enumerate(grid.y_nodes())
+        for j, x in enumerate(grid.x_nodes()))
+    assert path.read_bytes() == reference.encode("ascii")
+    assert np.array_equal(read_map_csv(path)[:, 2], values.ravel())
+
+
 def test_pgm_rejects_out_of_range(tmp_path):
     grid = SearchGrid(0.0, 1.0, 0.0, 1.0, 1.0)
     imap = IndicatorMap(grid=grid, values=np.array([[0.0, 0.5], [1.0, 1.5]]),
@@ -253,6 +306,13 @@ def test_read_map_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
+        read_map_csv(path)
+
+
+def test_read_map_csv_rejects_header_only(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("x,y,value\n")
+    with pytest.raises(ValueError, match="no nodes"):
         read_map_csv(path)
 
 
