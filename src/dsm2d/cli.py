@@ -29,7 +29,8 @@ from .imaging import SearchGrid, compute_map, export_map, extract_peaks
 from .indicator import contrast_factor, predicted_peaks
 from .model import (Scene, Inhomogeneity, WaveContext, load_scene_config,
                     make_observation_set, scene_config_document,
-                    validate_scene, wavenumber_from_wavelength)
+                    scene_from_document, validate_scene,
+                    wavenumber_from_wavelength)
 
 DEFAULT_NUM_DIRECTIONS = 256
 DEFAULT_GRID = "-1,1,-1,1,0.005"
@@ -78,7 +79,8 @@ def _parse_grid(spec: str) -> SearchGrid:
         raise ConfigError(f"bad --grid {spec!r}: {exc}") from exc
 
 
-def _prepare_outputs(out_dir: Path, names, force: bool) -> dict:
+def _prepare_outputs(out: str, names, force: bool) -> dict:
+    out_dir = Path(out)
     paths = {name: out_dir / name for name in names}
     if not force:
         clashes = [str(p) for p in paths.values() if p.exists()]
@@ -89,24 +91,30 @@ def _prepare_outputs(out_dir: Path, names, force: bool) -> dict:
     return paths
 
 
+def _apply_overrides(cfg: dict, args) -> dict:
+    """CLI flags override the scene document."""
+    lam = getattr(args, "wavelength", None)
+    deg = getattr(args, "incident_deg", None)
+    if lam is not None or deg is not None:
+        try:
+            cfg["wave"] = WaveContext.from_degrees(
+                cfg["wave"].wavelength if lam is None else lam,
+                float(cfg["raw"]["incident_direction_degrees"]) if deg is None else deg)
+        except ValueError as exc:
+            raise ConfigError(f"bad --wavelength/--incident-deg: {exc}") from exc
+    if getattr(args, "num_dirs", None) is not None:
+        cfg["observations"] = make_observation_set(args.num_dirs)
+    return cfg
+
+
 def _load_scene_or_fail(path_str: str, args) -> dict:
     path = Path(path_str)
     if not path.is_file():
         raise ConfigError(f"scene file not found: {path}")
     try:
-        cfg = load_scene_config(path)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot parse scene file {path}: {exc}") from exc
-    # CLI flags override the scene document
-    if getattr(args, "wavelength", None) is not None:
-        incident = cfg["raw"]["incident_direction_degrees"]
-        cfg["wave"] = WaveContext.from_degrees(args.wavelength, incident)
-    if getattr(args, "incident_deg", None) is not None:
-        cfg["wave"] = WaveContext.from_degrees(cfg["wave"].wavelength,
-                                               args.incident_deg)
-    if getattr(args, "num_dirs", None) is not None:
-        cfg["observations"] = make_observation_set(args.num_dirs)
-    return cfg
+        return _apply_overrides(load_scene_config(path), args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _report_validation(scene, wave) -> None:
@@ -135,7 +143,15 @@ def _predicted_entries(predictions) -> list:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
+def _write_prediction(analytic_map, predictions, paths: dict) -> None:
+    export_map(analytic_map, paths["analytic_map.csv"], "csv")
+    export_map(analytic_map, paths["analytic_map.pgm"], "pgm")
+    _write_json(paths["predicted_peaks.json"],
+                {"predicted": _predicted_entries(predictions),
+                 "offset_radius": predictions[0].offset_radius})
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +160,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def cmd_synthesize(args) -> int:
     cfg = _load_scene_or_fail(args.scene, args)
-    out_dir = Path(args.out)
-    paths = _prepare_outputs(out_dir, ["farfield.csv", "farfield.json"],
+    paths = _prepare_outputs(args.out, ["farfield.csv", "farfield.json"],
                              args.force)
     scene, wave, obs = cfg["scene"], cfg["wave"], cfg["observations"]
     _report_validation(scene, wave)
@@ -182,35 +197,30 @@ def cmd_image(args) -> int:
     if not data_path.is_file():
         raise ConfigError(f"far-field file not found: {data_path}")
     grid = _parse_grid(args.grid)
-    out_dir = Path(args.out)
-    paths = _prepare_outputs(out_dir, ["map.csv", "map.pgm", "peaks.json"],
-                             args.force)
     try:
         data, meta = read_far_field(data_path)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    if args.wavelength is not None:
-        wavelength = args.wavelength
-    elif "wavelength" in meta:
-        wavelength = float(meta["wavelength"])
-    else:
-        raise ConfigError("no wavelength in sidecar; pass --wavelength")
-    wavenumber = wavenumber_from_wavelength(wavelength)
+    try:
+        wavelength = (args.wavelength if args.wavelength is not None
+                      else float(meta["wavelength"]))
+        wavenumber = wavenumber_from_wavelength(wavelength)
+    except KeyError:
+        raise ConfigError("no wavelength in sidecar; pass --wavelength") from None
+    except ValueError as exc:
+        raise ConfigError(f"bad wavelength: {exc}") from exc
 
     scene = wave = None
     if "scene" in meta:
-        scene_doc = meta["scene"]
-        scene = Scene(
-            background_permeability=float(scene_doc["background_permeability"]),
-            inclusions=tuple(
-                Inhomogeneity(center=np.asarray(i["center"], dtype=float),
-                              radius=float(i["radius"]),
-                              permeability=float(i["permeability"]))
-                for i in scene_doc["inclusions"]))
-        wave = WaveContext.from_degrees(
-            wavelength, float(scene_doc["incident_direction_degrees"]))
+        try:
+            cfg = _apply_overrides(scene_from_document(meta["scene"]), args)
+        except ValueError as exc:
+            raise ConfigError(f"sidecar of {data_path}: {exc}") from exc
+        scene, wave = cfg["scene"], cfg["wave"]
 
+    paths = _prepare_outputs(args.out, ["map.csv", "map.pgm", "peaks.json"],
+                             args.force)
     _, _, peaks, predictions, residual = _image_pipeline(
         data, wavenumber, scene, wave, grid, args, paths, "map.csv", "map.pgm")
     report = {"peaks": _peak_entries(peaks),
@@ -226,20 +236,12 @@ def cmd_image(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_scene_or_fail(args.scene, args)
     grid = _parse_grid(args.grid)
-    out_dir = Path(args.out)
-    paths = _prepare_outputs(
-        out_dir,
-        ["analytic_map.csv", "analytic_map.pgm", "predicted_peaks.json"],
-        args.force)
+    paths = _prepare_outputs(args.out, ["analytic_map.csv", "analytic_map.pgm",
+                                        "predicted_peaks.json"], args.force)
     scene, wave = cfg["scene"], cfg["wave"]
     _report_validation(scene, wave)
     analytic_map = compute_map((scene, wave), grid, threads=args.threads)
-    export_map(analytic_map, paths["analytic_map.csv"], "csv")
-    export_map(analytic_map, paths["analytic_map.pgm"], "pgm")
-    predictions = predicted_peaks(scene, wave)
-    _write_json(paths["predicted_peaks.json"],
-                {"predicted": _predicted_entries(predictions),
-                 "offset_radius": predictions[0].offset_radius})
+    _write_prediction(analytic_map, predicted_peaks(scene, wave), paths)
     print(f"wrote {paths['analytic_map.csv']}, {paths['analytic_map.pgm']}, "
           f"{paths['predicted_peaks.json']}")
     return 0
@@ -256,7 +258,7 @@ def cmd_example(args) -> int:
              "map.csv", "map.pgm", "peaks.json",
              "analytic_map.csv", "analytic_map.pgm", "predicted_peaks.json",
              "report.json"]
-    paths = _prepare_outputs(out_dir, names, args.force)
+    paths = _prepare_outputs(args.out, names, args.force)
     _report_validation(scene, wave)
 
     _write_json(paths["scene.json"], scene_config_document(scene, wave, obs))
@@ -274,11 +276,7 @@ def cmd_example(args) -> int:
                                       "predicted": _predicted_entries(predictions),
                                       "residual": residual})
 
-    export_map(analytic_map, paths["analytic_map.csv"], "csv")
-    export_map(analytic_map, paths["analytic_map.pgm"], "pgm")
-    _write_json(paths["predicted_peaks.json"],
-                {"predicted": _predicted_entries(predictions),
-                 "offset_radius": predictions[0].offset_radius})
+    _write_prediction(analytic_map, predictions, paths)
 
     report = {
         "example": which,
@@ -303,11 +301,17 @@ def cmd_example(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common_output_flags(p) -> None:
     p.add_argument("--out", default="dsm2d-out", help="output directory")
     p.add_argument("--force", action="store_true",
                    help="overwrite existing outputs")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker threads for the map sweep")
 
 
@@ -325,8 +329,15 @@ def _add_grid_flag(p) -> None:
                    help="search grid as 'x0,x1,y0,y1,step'")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag in one line on stderr, like other config errors."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message} (see --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dsm2d",
         description="Single-incident-wave far-field correlation imaging "
                     "of small scatterers in 2D")
@@ -338,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--wavelength", type=float, default=None)
     p_syn.add_argument("--incident-deg", type=float, default=None,
                        dest="incident_deg")
-    p_syn.add_argument("--num-dirs", type=int, default=None, dest="num_dirs")
+    p_syn.add_argument("--num-dirs", type=_positive_int, default=None,
+                       dest="num_dirs")
     p_syn.add_argument("--snr-db", type=float, default=None, dest="snr_db",
                        help="additive-noise SNR in dB (omit for noise-free)")
     p_syn.add_argument("--seed", type=int, default=0)
@@ -361,15 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--wavelength", type=float, default=None)
     p_pre.add_argument("--incident-deg", type=float, default=None,
                        dest="incident_deg")
-    p_pre.add_argument("--num-dirs", type=int, default=None, dest="num_dirs")
+    p_pre.add_argument("--num-dirs", type=_positive_int, default=None,
+                       dest="num_dirs")
     _add_grid_flag(p_pre)
     _add_common_output_flags(p_pre)
     p_pre.set_defaults(func=cmd_predict)
 
     p_ex = sub.add_parser("example", help="run a shipped demo end to end")
     p_ex.add_argument("which", choices=sorted(EXAMPLE_PERMEABILITIES))
-    p_ex.add_argument("--num-dirs", type=int, default=DEFAULT_NUM_DIRECTIONS,
-                      dest="num_dirs")
+    p_ex.add_argument("--num-dirs", type=_positive_int,
+                      default=DEFAULT_NUM_DIRECTIONS, dest="num_dirs")
     p_ex.add_argument("--snr-db", type=float, default=None, dest="snr_db")
     p_ex.add_argument("--seed", type=int, default=0)
     _add_grid_flag(p_ex)

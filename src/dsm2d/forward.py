@@ -25,9 +25,6 @@ import numpy as np
 from .model import (ObservationSet, Scene, WaveContext, make_observation_set,
                     scene_config_document)
 
-# Sentinel for "no noise": infinite SNR leaves the data untouched.
-NO_NOISE = math.inf
-
 
 @dataclass(frozen=True)
 class FarFieldData:

@@ -1,10 +1,10 @@
 """Search grids, indicator-map assembly, peak extraction, file export.
 
 Maps are evaluated over a rectangular node grid and normalized by their
-grid maximum. The sweep is organized in fixed work units: one row for the
-data map, a band of ``BAND_ROWS`` rows for the closed form. Each value is
-an elementwise function of its own node's coordinates, so serial and
-threaded sweeps produce bit-identical matrices regardless of worker count.
+grid maximum. Both sweeps run over fixed bands of ``BAND_ROWS`` rows:
+elementwise for the closed form, one fixed-shape matrix product for the
+data map. Serial and threaded sweeps produce bit-identical matrices for
+any worker count and any BLAS thread count.
 
 Exports: CSV (``x,y,value`` per node, 17 significant digits) and binary
 PGM (P5, 16-bit big-endian samples, top row = y_max).
@@ -25,7 +25,7 @@ from .model import Scene, WaveContext
 from .specfun import bessel_j1
 
 GRID_EPS = 1e-9  # guards node counting against FP drift in (max-min)/step
-BAND_ROWS = 16  # closed-form rows per work unit: vectorized, temporaries stay small
+BAND_ROWS = 16  # map rows per work unit: vectorized, temporaries stay small
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,11 @@ class SearchGrid:
     step: float
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("grid bounds must satisfy min < max on both axes")
-        if not (self.step > 0):
-            raise ValueError("grid step must be positive")
+        if not (-math.inf < self.x_min < self.x_max < math.inf
+                and -math.inf < self.y_min < self.y_max < math.inf):
+            raise ValueError("grid bounds must be finite with min < max on both axes")
+        if not (0 < self.step < math.inf):
+            raise ValueError("grid step must be positive and finite")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
 
@@ -75,6 +76,8 @@ class IndicatorMap:
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.ny, self.grid.nx):
             raise ValueError("values shape must be (ny, nx)")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("map values must be finite")
         if self.normalization not in ("grid-max", "raw"):
             raise ValueError("normalization must be 'grid-max' or 'raw'")
 
@@ -85,14 +88,6 @@ class Peak:
 
     position: np.ndarray
     value: float
-
-
-def _data_row_values(psi: np.ndarray, phase_x: np.ndarray,
-                     phase_y_row: np.ndarray, inv_denom: float) -> np.ndarray:
-    # One row of |<psi, e(x_s)>| / (||psi|| ||e||); the test-vector phase
-    # separates over the tensor grid as e^{ik x cos} * e^{ik y sin}.
-    corr = phase_x @ (psi * phase_y_row)
-    return np.abs(corr) * inv_denom
 
 
 def _analytic_band_values(scene: Scene, wave: WaveContext, x_nodes: np.ndarray,
@@ -128,9 +123,9 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     grid : SearchGrid
     wavenumber : float, required for a FarFieldData source
     threads : int
-        Worker threads for the sweep, which maps over rows of the data map
-        or bands of ``BAND_ROWS`` rows of the closed form. The output is
-        bit-identical for every thread count.
+        Worker threads for the sweep, which maps over bands of
+        ``BAND_ROWS`` rows of either map. The output is bit-identical for
+        every thread count and every BLAS thread count.
     """
     xs = grid.x_nodes()
     ys = grid.y_nodes()
@@ -143,35 +138,38 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
         if norm_psi == 0.0:
             raise ValueError("indicator undefined for all-zero data")
         theta = source.observation_set.directions
-        phase_x = np.exp(1j * wavenumber * np.outer(xs, theta[:, 0]))
+        # |<psi, e(x_s)>| / (||psi|| ||e||), with e^{ik x cos} e^{ik y sin}
+        phase_xT = np.exp(1j * wavenumber * np.outer(theta[:, 0], xs))
         phase_y = np.exp(1j * wavenumber * np.outer(ys, theta[:, 1]))
         inv_denom = 1.0 / (norm_psi * math.sqrt(source.observation_set.count))
 
-        unit_rows = 1
-
         def unit(iy: int) -> np.ndarray:
-            return _data_row_values(psi, phase_x, phase_y[iy], inv_denom)
+            # The last band is shifted back to BAND_ROWS rows: a 1-row product
+            # rounds differently under different BLAS thread counts.
+            lo = max(0, min(iy, grid.ny - BAND_ROWS))
+            corr = (phase_y[lo:lo + BAND_ROWS] * psi) @ phase_xT
+            return np.abs(corr[iy - lo:]) * inv_denom
     else:
         scene, wave = source
-        unit_rows = BAND_ROWS
 
         def unit(iy: int) -> np.ndarray:
-            return _analytic_band_values(scene, wave, xs, ys[iy:iy + unit_rows])
+            return _analytic_band_values(scene, wave, xs, ys[iy:iy + BAND_ROWS])
 
-    starts = range(0, grid.ny, unit_rows)
+    starts = range(0, grid.ny, BAND_ROWS)
     values = np.empty((grid.ny, grid.nx))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for iy, res in zip(starts, pool.map(unit, starts)):
-                values[iy:iy + unit_rows] = res
+                values[iy:iy + BAND_ROWS] = res
     else:
         for iy in starts:
-            values[iy:iy + unit_rows] = unit(iy)
+            values[iy:iy + BAND_ROWS] = unit(iy)
 
     peak = values.max()
     if peak == 0.0:
         raise ValueError("degenerate all-zero indicator map")
-    return IndicatorMap(grid=grid, values=values / peak, normalization="grid-max")
+    values /= peak
+    return IndicatorMap(grid=grid, values=values, normalization="grid-max")
 
 
 def extract_peaks(indicator_map: IndicatorMap, min_value: float,
@@ -194,27 +192,20 @@ def extract_peaks(indicator_map: IndicatorMap, min_value: float,
     if not (min_separation > 0):
         raise ValueError("min_separation must be positive")
     v = indicator_map.values
-    lo = np.full((v.shape[0] + 2, v.shape[1] + 2), -np.inf)
-    lo[1:-1, 1:-1] = v
-    hi = np.full_like(lo, np.inf)
-    hi[1:-1, 1:-1] = v
-    dominates = np.ones(v.shape, dtype=bool)
+    ny, nx = v.shape
+    dominates = v >= min_value
     exceeds_one = np.zeros(v.shape, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            neighbor = lo[1 + di:1 + di + v.shape[0],
-                          1 + dj:1 + dj + v.shape[1]]
-            node_precedes = di > 0 or (di == 0 and dj > 0)
-            if node_precedes:
-                dominates &= v >= neighbor
-            else:
-                dominates &= v > neighbor
-            real = hi[1 + di:1 + di + v.shape[0],
-                      1 + dj:1 + dj + v.shape[1]]
-            exceeds_one |= v > real  # inf padding: borders never count
-    rows, cols = np.nonzero(dominates & exceeds_one & (v >= min_value))
+    # Each neighbor pair (p, q = p + forward offset) is compared once; q follows
+    # p in (row, col) order, so p needs v[p] >= v[q] and q the complement.
+    for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        p = (slice(0, ny - di), slice(max(0, -dj), nx - max(0, dj)))
+        q = (slice(di, ny), slice(max(0, dj), nx - max(0, -dj)))
+        ge = v[p] >= v[q]
+        dominates[p] &= ge
+        exceeds_one[p] |= v[p] > v[q]
+        dominates[q] &= ~ge
+        exceeds_one[q] |= ~ge
+    rows, cols = np.nonzero(dominates & exceeds_one)
     order = np.lexsort((cols, rows, -v[rows, cols]))
 
     xs = indicator_map.grid.x_nodes()

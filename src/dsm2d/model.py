@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -94,8 +93,8 @@ class WaveContext:
             raise ValueError("wavelength must be positive and finite")
         d = _readonly(self.incident_direction)
         object.__setattr__(self, "incident_direction", d)
-        if d.shape != (2,):
-            raise ValueError("incident direction must be a 2D vector")
+        if d.shape != (2,) or not np.all(np.isfinite(d)):
+            raise ValueError("incident direction must be a finite 2D vector")
         if abs(float(np.hypot(d[0], d[1])) - 1.0) > UNIT_TOL:
             raise ValueError("incident direction must be a unit vector")
         object.__setattr__(self, "wavenumber", wavenumber_from_wavelength(self.wavelength))
@@ -127,7 +126,7 @@ def make_observation_set(count: int) -> ObservationSet:
     exactly (1, 0) and the set is exactly invariant under n -> n + N.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValueError("count must be a positive integer")
+        raise ValueError(f"direction count must be a positive integer, got {count!r}")
     n = np.arange(1, count + 1) % count
     ang = 2.0 * np.pi * n / count
     return ObservationSet(count=int(count),
@@ -204,19 +203,9 @@ def validate_scene(scene: Scene, wave: WaveContext,
     return ValidationReport(entries=tuple(entries))
 
 
-def load_scene_config(path) -> dict:
-    """Parse a scene JSON document into constructed domain objects.
-
-    Expected keys: ``background_permeability``, ``inclusions`` (array of
-    ``{center: [x, y], radius, permeability}``), ``wavelength``,
-    ``incident_direction_degrees``, ``num_observation_directions``.
-
-    Returns a dict with keys ``scene``, ``wave``, ``observations`` plus
-    the raw document under ``raw``.
-    """
-    path = Path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
+def scene_from_document(doc: dict) -> dict:
+    """Build ``scene``, ``wave``, ``observations`` (and ``raw``) from a document
+    in the :func:`scene_config_document` layout; ``ValueError`` on bad input."""
     try:
         inclusions = tuple(
             Inhomogeneity(center=np.asarray(item["center"], dtype=float),
@@ -227,12 +216,21 @@ def load_scene_config(path) -> dict:
                       inclusions=inclusions)
         wave = WaveContext.from_degrees(float(doc["wavelength"]),
                                         float(doc["incident_direction_degrees"]))
-        obs = make_observation_set(int(doc["num_observation_directions"]))
+        obs = make_observation_set(doc["num_observation_directions"])
     except KeyError as exc:
-        raise ValueError(f"scene file {path} is missing key {exc}") from exc
+        raise ValueError(f"missing key {exc}") from exc
     except TypeError as exc:
-        raise ValueError(f"scene file {path} is malformed: {exc}") from exc
+        raise ValueError(f"malformed document: {exc}") from exc
     return {"scene": scene, "wave": wave, "observations": obs, "raw": doc}
+
+
+def load_scene_config(path) -> dict:
+    """Parse a scene JSON file with :func:`scene_from_document`."""
+    try:
+        with open(path) as fh:
+            return scene_from_document(json.load(fh))
+    except ValueError as exc:  # also invalid JSON and undecodable bytes
+        raise ValueError(f"scene file {path}: {exc}") from exc
 
 
 def scene_config_document(scene: Scene, wave: WaveContext, obs: ObservationSet) -> dict:

@@ -184,3 +184,60 @@ def test_example_thread_count_does_not_change_bytes(tmp_path):
              "analytic_map.pgm", "peaks.json", "predicted_peaks.json",
              "report.json"]
     assert _read_bytes(out1, names) == _read_bytes(out2, names)
+
+
+def _one_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_predict_nan_incident_exits_2_without_outputs(tmp_path, scene_file,
+                                                      capsys):
+    out = tmp_path / "p"
+    assert main(["predict", "--scene", str(scene_file), "--incident-deg", "nan",
+                 "--out", str(out), *COARSE]) == 2
+    assert "finite" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_infinite_grid_bound_exits_2_without_outputs(tmp_path, scene_file,
+                                                     capsys):
+    out = tmp_path / "p"
+    assert main(["predict", "--scene", str(scene_file),
+                 "--grid=-1,inf,-1,1,0.1", "--out", str(out)]) == 2
+    assert "finite" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "x"])
+def test_threads_below_one_is_rejected_at_parse_time(tmp_path, capsys, value):
+    out = tmp_path / "ex"
+    with pytest.raises(SystemExit) as exc:
+        main(["example", "ex1", "--threads", value, "--out", str(out), *COARSE])
+    assert exc.value.code == 2
+    assert "--threads" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_image_rejects_bad_sidecar_scene(tmp_path, scene_file, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["synthesize", "--scene", str(scene_file),
+                 "--out", str(data_dir)]) == 0
+    sidecar = data_dir / "farfield.json"
+    meta = json.loads(sidecar.read_text())
+    meta["scene"]["num_observation_directions"] = 2.5
+    sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    out = tmp_path / "img"
+    assert main(["image", "--data", str(data_dir / "farfield.csv"),
+                 "--out", str(out), *COARSE]) == 2
+    assert "direction count" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_json_outputs_refuse_nan(tmp_path):
+    from dsm2d.cli import _write_json
+
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "x.json", {"value": float("nan")})

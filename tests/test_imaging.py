@@ -1,11 +1,19 @@
 """Grid sweeps, peak extraction, and map export."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import dsm2d
 from dsm2d.forward import FarFieldData, synthesize_far_field
-from dsm2d.imaging import (BAND_ROWS, IndicatorMap, SearchGrid, compute_map,
-                           export_map, extract_peaks, read_map_csv)
+from dsm2d.imaging import (BAND_ROWS, IndicatorMap, Peak, SearchGrid,
+                           compute_map, export_map, extract_peaks, read_map_csv)
 from dsm2d.indicator import (closed_form_magnitude, dsm_indicator_raw,
                              predicted_peaks)
 from dsm2d.model import Inhomogeneity, Scene, make_observation_set
@@ -25,6 +33,11 @@ def test_grid_validation():
         SearchGrid(-1.0, 1.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         SearchGrid(0.0, 1.0, 0.0, 1.0, 5.0)  # single node per axis
+    for bad in ((-1.0, np.inf, -1.0, 1.0, 0.1), (-np.inf, 1.0, -1.0, 1.0, 0.1),
+                (-1.0, 1.0, np.nan, 1.0, 0.1), (-1.0, 1.0, -1.0, 1.0, np.inf),
+                (-1.0, 1.0, -1.0, 1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            SearchGrid(*bad)
 
 
 def test_indicator_map_shape_contract():
@@ -33,6 +46,11 @@ def test_indicator_map_shape_contract():
         IndicatorMap(grid=grid, values=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         IndicatorMap(grid=grid, values=np.zeros((3, 3)), normalization="weird")
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.zeros((3, 3))
+        values[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            IndicatorMap(grid=grid, values=values)
 
 
 def test_data_map_matches_scalar_indicator(ex1_data, demo_wave):
@@ -129,14 +147,49 @@ def test_map_invariant_under_data_scaling(ex1_data, demo_wave):
 
 
 def test_map_thread_count_is_bit_invariant(ex1_data, ex2_scene, demo_wave):
-    grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.05)  # 41 rows: bands 16, 16, 9
-    serial = compute_map(ex1_data, grid, wavenumber=demo_wave.wavenumber)
-    threaded = compute_map(ex1_data, grid, wavenumber=demo_wave.wavenumber,
-                           threads=4)
-    assert np.array_equal(serial.values, threaded.values)
-    blobs = {compute_map((ex2_scene, demo_wave), grid, threads=t).values.tobytes()
-             for t in (1, 2, 3)}
-    assert len(blobs) == 1
+    k = demo_wave.wavenumber
+    for step in (0.05, 0.0625):  # 41 rows: bands 16, 16, 9; 33 rows: 16, 16, 1
+        grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, step)
+        blobs = {compute_map(ex1_data, grid, wavenumber=k, threads=t).values.tobytes()
+                 for t in (1, 2, 4)}
+        assert len(blobs) == 1
+        blobs = {compute_map((ex2_scene, demo_wave), grid, threads=t).values.tobytes()
+                 for t in (1, 2, 3)}
+        assert len(blobs) == 1
+
+
+# Hashes the data map of ex2 on grids 401 nodes wide whose row counts leave
+# a last band of 0, 1 and 2 rows, and on one grid shorter than a band. The
+# grids are wide enough for OpenBLAS to split each band product over threads.
+_BLAS_PROBE = """
+import hashlib
+from dsm2d.cli import example_scene, example_wave
+from dsm2d.forward import synthesize_far_field
+from dsm2d.imaging import BAND_ROWS, SearchGrid, compute_map
+from dsm2d.model import make_observation_set
+wave = example_wave()
+data = synthesize_far_field(example_scene("ex2"), wave, make_observation_set(256))
+for ny in (2 * BAND_ROWS, 2 * BAND_ROWS + 1, 2 * BAND_ROWS + 2, BAND_ROWS // 2 + 1):
+    grid = SearchGrid(-12.5, 12.5, -1.0, -1.0 + (ny - 1) * 0.0625, 0.0625)
+    assert (grid.nx, grid.ny) == (401, ny)
+    values = compute_map(data, grid, wavenumber=wave.wavenumber).values
+    print(ny, hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def _blas_probe(blas_threads: int) -> list:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    src = str(Path(dsm2d.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return out.splitlines()
+
+
+def test_data_map_is_bit_invariant_under_blas_thread_count():
+    single = _blas_probe(1)
+    assert [line.split()[0] for line in single] == ["32", "33", "34", "9"]
+    assert _blas_probe(2) == single
 
 
 def test_map_rejects_missing_wavenumber(ex1_data):
@@ -222,6 +275,73 @@ def test_peak_thinning_keeps_strongest():
     assert len(peaks) == 2
     assert peaks[0].value == 1.0
     assert peaks[1].value == 0.8
+
+
+def _reference_peaks(indicator_map, min_value, min_separation):
+    # Independent oracle: each node against all 8 neighbors of a map padded
+    # with -inf (for dominance) and +inf (so borders never count as exceeded).
+    v = indicator_map.values
+    lo = np.full((v.shape[0] + 2, v.shape[1] + 2), -np.inf)
+    lo[1:-1, 1:-1] = v
+    hi = np.full_like(lo, np.inf)
+    hi[1:-1, 1:-1] = v
+    dominates = np.ones(v.shape, dtype=bool)
+    exceeds_one = np.zeros(v.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            window = (slice(1 + di, 1 + di + v.shape[0]),
+                      slice(1 + dj, 1 + dj + v.shape[1]))
+            node_precedes = di > 0 or (di == 0 and dj > 0)
+            if node_precedes:
+                dominates &= v >= lo[window]
+            else:
+                dominates &= v > lo[window]
+            exceeds_one |= v > hi[window]
+    rows, cols = np.nonzero(dominates & exceeds_one & (v >= min_value))
+    order = np.lexsort((cols, rows, -v[rows, cols]))
+    xs = indicator_map.grid.x_nodes()
+    ys = indicator_map.grid.y_nodes()
+    kept = []
+    for idx in order:
+        i, j = int(rows[idx]), int(cols[idx])
+        pos = np.array([xs[j], ys[i]])
+        if all(np.hypot(*(pos - p.position)) >= min_separation for p in kept):
+            kept.append(Peak(position=pos, value=float(v[i, j])))
+    return kept
+
+
+def _assert_same_peaks(got, want):
+    assert [(p.position.tolist(), p.value) for p in got] == \
+        [(p.position.tolist(), p.value) for p in want]
+
+
+@st.composite
+def _tie_heavy_maps(draw):
+    ny, nx = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    levels = draw(st.lists(st.sampled_from([0.0, 0.2, 0.45, 0.5, 0.7, 1.0]),
+                           min_size=3, max_size=4, unique=True))
+    values = draw(arrays(float, (ny, nx), elements=st.sampled_from(levels)))
+    grid = SearchGrid(0.0, (nx - 1) * 0.1, 0.0, (ny - 1) * 0.1, 0.1)
+    assert (grid.nx, grid.ny) == (nx, ny)
+    return IndicatorMap(grid=grid, values=values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(imap=_tie_heavy_maps(), min_value=st.sampled_from([0.01, 0.45, 0.5, 0.99]),
+       min_separation=st.sampled_from([0.05, 0.1, 0.15, 0.35]))
+def test_extract_peaks_matches_padded_reference(imap, min_value, min_separation):
+    _assert_same_peaks(extract_peaks(imap, min_value, min_separation),
+                       _reference_peaks(imap, min_value, min_separation))
+
+
+@pytest.mark.parametrize("min_value", [0.01, 0.5])
+def test_extract_peaks_matches_padded_reference_on_demo_maps(
+        min_value, ex1_data_map, ex1_analytic_map, ex3_analytic_map):
+    for imap in (ex1_data_map, ex1_analytic_map, ex3_analytic_map):
+        _assert_same_peaks(extract_peaks(imap, min_value, 0.05),
+                           _reference_peaks(imap, min_value, 0.05))
 
 
 def test_extract_peaks_parameter_validation(ex1_analytic_map):

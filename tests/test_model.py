@@ -9,7 +9,8 @@ import pytest
 from dsm2d.model import (DEFAULT_SEPARATION_THRESHOLD, Inhomogeneity,
                          ObservationSet, Scene, WaveContext,
                          load_scene_config, make_observation_set,
-                         scene_config_document, validate_scene,
+                         scene_config_document, scene_from_document,
+                         validate_scene,
                          wavelength_from_wavenumber,
                          wavenumber_from_wavelength)
 
@@ -86,6 +87,14 @@ def test_wave_context_wavenumber_definition():
 def test_wave_context_rejects_non_unit_direction():
     with pytest.raises(ValueError):
         WaveContext(wavelength=1.0, incident_direction=np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("direction", [[np.nan, 0.0], [np.nan, np.nan],
+                                       [np.inf, 0.0]])
+def test_wave_context_rejects_non_finite_direction(direction):
+    # a unit-norm test alone is False for NaN, so it cannot reject NaN
+    with pytest.raises(ValueError, match="finite"):
+        WaveContext(wavelength=1.0, incident_direction=np.array(direction))
 
 
 def test_inhomogeneity_validation():
@@ -168,6 +177,19 @@ def test_scene_json_round_trip(tmp_path, ex3_scene, demo_wave, obs256):
         assert np.array_equal(orig.center, loaded.center)
         assert orig.radius == loaded.radius
         assert orig.permeability == loaded.permeability
+
+
+@pytest.mark.parametrize("count", [2.5, 256.0, "256", 0, None])
+def test_scene_rejects_non_integral_direction_count(tmp_path, ex1_scene,
+                                                    demo_wave, obs256, count):
+    doc = scene_config_document(ex1_scene, demo_wave, obs256)
+    doc["num_observation_directions"] = count
+    with pytest.raises(ValueError, match="direction count"):
+        scene_from_document(doc)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="scene.json: direction count"):
+        load_scene_config(path)
 
 
 def test_scene_json_missing_key(tmp_path):
