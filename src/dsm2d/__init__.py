@@ -21,14 +21,13 @@ from .model import (Inhomogeneity, ObservationSet, Scene, ValidationReport,
                     WaveContext, load_scene_config, make_observation_set,
                     validate_scene, wavelength_from_wavenumber,
                     wavenumber_from_wavelength)
-from .specfun import (J1_FIRST_MAX, BesselEvaluation, bessel_j0,
-                      bessel_j0_oracle, bessel_j1, bessel_j1_oracle,
-                      bessel_j_oracle)
+from .specfun import (J1_FIRST_MAX, bessel_j0, bessel_j0_oracle, bessel_j1,
+                      bessel_j1_oracle, bessel_j_oracle)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselEvaluation", "FarFieldData", "IndicatorMap", "Inhomogeneity",
+    "FarFieldData", "IndicatorMap", "Inhomogeneity",
     "J1_FIRST_MAX", "NoiseSpec", "ObservationSet", "Peak", "PeakPrediction",
     "SamplingPoint", "Scene", "SearchGrid", "ValidationReport",
     "WaveContext", "add_noise", "bessel_j0", "bessel_j0_oracle", "bessel_j1",

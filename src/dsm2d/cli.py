@@ -301,10 +301,23 @@ def cmd_example(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+def _checked(convert, ok, rule: str):
+    """An argparse ``type=``: convert the text, then require ``ok(value)``."""
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return parse
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_seed = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_snr_db = _checked(float, lambda x: x > -math.inf, "a number (dB), not NaN or -inf")
+_peak_value = _checked(float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
+_peak_separation = _checked(float, lambda x: x > 0.0, "a number > 0")
 
 
 def _add_common_output_flags(p) -> None:
@@ -316,10 +329,10 @@ def _add_common_output_flags(p) -> None:
 
 
 def _add_peak_flags(p) -> None:
-    p.add_argument("--min-peak-value", type=float,
+    p.add_argument("--min-peak-value", type=_peak_value,
                    default=DEFAULT_MIN_PEAK_VALUE,
                    help="minimum normalized value for a reported peak")
-    p.add_argument("--min-peak-separation", type=float,
+    p.add_argument("--min-peak-separation", type=_peak_separation,
                    default=DEFAULT_MIN_PEAK_SEPARATION,
                    help="minimum spacing between reported peaks")
 
@@ -351,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="incident_deg")
     p_syn.add_argument("--num-dirs", type=_positive_int, default=None,
                        dest="num_dirs")
-    p_syn.add_argument("--snr-db", type=float, default=None, dest="snr_db",
+    p_syn.add_argument("--snr-db", type=_snr_db, default=None, dest="snr_db",
                        help="additive-noise SNR in dB (omit for noise-free)")
-    p_syn.add_argument("--seed", type=int, default=0)
+    p_syn.add_argument("--seed", type=_seed, default=0)
     _add_common_output_flags(p_syn)
     p_syn.set_defaults(func=cmd_synthesize)
 
@@ -383,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("which", choices=sorted(EXAMPLE_PERMEABILITIES))
     p_ex.add_argument("--num-dirs", type=_positive_int,
                       default=DEFAULT_NUM_DIRECTIONS, dest="num_dirs")
-    p_ex.add_argument("--snr-db", type=float, default=None, dest="snr_db")
-    p_ex.add_argument("--seed", type=int, default=0)
+    p_ex.add_argument("--snr-db", type=_snr_db, default=None, dest="snr_db")
+    p_ex.add_argument("--seed", type=_seed, default=0)
     _add_grid_flag(p_ex)
     _add_peak_flags(p_ex)
     _add_common_output_flags(p_ex)

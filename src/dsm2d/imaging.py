@@ -6,8 +6,8 @@ elementwise for the closed form, one fixed-shape matrix product for the
 data map. Serial and threaded sweeps produce bit-identical matrices for
 any worker count and any BLAS thread count.
 
-Exports: CSV (``x,y,value`` per node, 17 significant digits) and binary
-PGM (P5, 16-bit big-endian samples, top row = y_max).
+Exports: CSV (``x,y,value`` per node, exact ``%.17g`` digits from integer
+arithmetic, streamed per band) and PGM (P5, 16-bit big-endian, top = y_max).
 """
 
 from __future__ import annotations
@@ -26,6 +26,17 @@ from .specfun import bessel_j1
 
 GRID_EPS = 1e-9  # guards node counting against FP drift in (max-min)/step
 BAND_ROWS = 16  # map rows per work unit: vectorized, temporaries stay small
+
+# Tables for exact %.17g, built from bytes so byte order does not matter:
+# "0." to "0.000" plus a leading digit; 4-digit groups, full and zero-stripped.
+_U32, _M32, _ONE, _E8 = (np.uint64(k) for k in (32, 2 ** 32 - 1, 1, 10 ** 8))
+_POW5 = np.array([5 ** 17, 5 ** 18, 5 ** 19, 5 ** 20], dtype=np.uint64)
+_LEAD = np.array([p + bytes([d]) for p in (b"0.", b"0.0", b"0.00", b"0.000")
+                  for d in b"0123456789"], "S8").view(np.uint32).reshape(40, 2)
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + np.uint8(48)
+_TRAILING = np.logical_and.accumulate(_DIGITS[:, ::-1] == 48, axis=1)[:, ::-1]
+_GROUPS = np.stack([_DIGITS, _DIGITS * ~_TRAILING]).view(np.uint32).ravel()
+_NEWLINE = np.array(b"\n", "S4").view(np.uint32)
 
 
 @dataclass(frozen=True)
@@ -64,14 +75,17 @@ class SearchGrid:
 
 @dataclass(frozen=True)
 class IndicatorMap:
-    """Real map over a grid; row i of ``values`` holds y node i (ascending)."""
+    """Real map over a grid; row i of ``values`` holds y node i (ascending).
+
+    A float64 ``values`` array is taken over without a copy and made read-only.
+    """
 
     grid: SearchGrid
     values: np.ndarray
     normalization: str = "grid-max"  # "grid-max" | "raw"
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = np.asarray(self.values, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.ny, self.grid.nx):
@@ -219,39 +233,79 @@ def extract_peaks(indicator_map: IndicatorMap, min_value: float,
     return kept
 
 
+def _value_words(v: np.ndarray) -> np.ndarray:
+    """``f"{x:.17g}\\n"`` per value as 28 NUL-padded bytes: (n, 7) uint32.
+
+    Exact integer arithmetic on [1e-4, 1); Python formats other values.
+    """
+    fast = (v >= 1e-4) & (v < 1.0)
+    f = np.where(fast, v, 0.5)  # 0.5: placeholder for the other values
+    # e = -1 - floor(log10 f) exactly, as each double 10**-k lies above 10**-k.
+    e = (f < 0.1).astype(np.intp) + (f < 0.01) + (f < 0.001)
+    # 17 digits N = round-half-even(m * 5**s / 2**q) of f = m * 2**(ex - 53),
+    # s = 17 + e, q = 36 - e - ex, m * 5**s < 2**100 from 32-bit limbs; no
+    # double here rounds up to a power of ten, so N < 10**17.
+    frac, ex = np.frexp(f)
+    m, p = (frac * 2.0 ** 53).astype(np.uint64), _POW5[e]
+    m0, m1, p0, p1 = m & _M32, m >> _U32, p & _M32, p >> _U32
+    lo, mid = m0 * p0, m1 * p0 + m0 * p1
+    t = (lo >> _U32) + (mid & _M32)
+    low, high = (lo & _M32) | (t << _U32), m1 * p1 + (mid >> _U32) + (t >> _U32)
+    q = (36 - e - ex).astype(np.uint64)
+    n = (high << (np.uint64(64) - q)) | (low >> q)
+    rem, half = low & ((_ONE << q) - _ONE), _ONE << (q - _ONE)
+    n += (rem > half) | ((rem == half) & (n & _ONE == _ONE))
+    head, tail = (part.astype(np.intp) for part in np.divmod(n, _E8))
+    lead, hi = np.divmod(head, 10 ** 8)
+    out = np.full((v.size, 7), _NEWLINE, np.uint32)
+    out[:, :2] = _LEAD.take(10 * e + lead, axis=0)
+    groups = (hi // 10000, hi % 10000, tail // 10000, tail % 10000)
+    last = np.maximum.reduce([k * (g != 0) for k, g in enumerate(groups)])
+    for k, g in enumerate(groups):  # zero-stripped from the last nonzero one
+        out[:, 2 + k] = _GROUPS.take(g + 10000 * (k >= last))
+    out[~fast, :6] = np.array([f"{x:.17g}".encode() for x in v[~fast].tolist()],
+                              "S24").view(np.uint32).reshape(-1, 6)
+    return out
+
+
 def export_map(indicator_map: IndicatorMap, path, fmt: str) -> None:
     """Write a map to disk as ``csv`` or 16-bit binary ``pgm``.
 
-    CSV rows run y ascending (outer) and x ascending (inner), values with
-    17 significant digits. PGM is P5 with maxval 65535, big-endian
-    samples round(65535 * v), and its top row holds y_max.
+    CSV rows run y ascending (outer) and x ascending (inner), numbers as
+    exact ``%.17g``, streamed per band of ``BAND_ROWS`` rows as a matrix of
+    NUL-padded x, y and value words with the NULs dropped. PGM is P5 with
+    maxval 65535, big-endian samples round(65535 * v), top row at y_max.
     """
     path = Path(path)
     v = indicator_map.values
-    if fmt == "csv":
-        # Node strings are formatted once per axis; each row is then one
-        # %-format of a template "x0,y,%.17g\nx1,y,%.17g\n..." over its values.
-        x_heads = [f"{x:.17g}," for x in indicator_map.grid.x_nodes().tolist()]
-        rows = ["x,y,value\n"]
-        for y, row in zip(indicator_map.grid.y_nodes().tolist(), v):
-            tail = f"{y:.17g},%.17g\n"
-            rows.append((tail.join(x_heads) + tail) % tuple(row.tolist()))
-        try:
-            path.write_text("".join(rows))
-        except OSError as exc:
-            raise OSError(f"failed writing map CSV to {path}: {exc}") from exc
-    elif fmt == "pgm":
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise ValueError("PGM export requires values in [0, 1]; "
-                             "normalize the map first")
-        pixels = np.rint(np.flipud(v) * 65535.0).astype(">u2")
-        header = f"P5\n{v.shape[1]} {v.shape[0]}\n65535\n".encode("ascii")
-        try:
+    try:
+        if fmt == "csv":
+            # a node string "-1.2345678901234567e-308," fills at most 7 words
+            xw, yw = (np.array([f"{x:.17g},".encode() for x in nodes.tolist()],
+                               "S28").view(np.uint32).reshape(-1, 7)
+                      for nodes in (indicator_map.grid.x_nodes(),
+                                    indicator_map.grid.y_nodes()))
+            with open(path, "wb") as fh:
+                fh.write(b"x,y,value\n")
+                for iy in range(0, v.shape[0], BAND_ROWS):
+                    band = v[iy:iy + BAND_ROWS]
+                    words = np.empty((*band.shape, 21), np.uint32)
+                    words[..., :7] = xw
+                    words[..., 7:14] = yw[iy:iy + BAND_ROWS, np.newaxis]
+                    words[..., 14:] = _value_words(band.ravel()).reshape(*band.shape, 7)
+                    raw = words.view(np.uint8).ravel()
+                    fh.write(raw[raw != 0])
+        elif fmt == "pgm":
+            if v.min() < 0.0 or v.max() > 1.0:
+                raise ValueError("PGM export requires values in [0, 1]; "
+                                 "normalize the map first")
+            pixels = np.rint(np.flipud(v) * 65535.0).astype(">u2")
+            header = f"P5\n{v.shape[1]} {v.shape[0]}\n65535\n".encode("ascii")
             path.write_bytes(header + pixels.tobytes())
-        except OSError as exc:
-            raise OSError(f"failed writing map PGM to {path}: {exc}") from exc
-    else:
-        raise ValueError(f"unknown export format {fmt!r} (use 'csv' or 'pgm')")
+        else:
+            raise ValueError(f"unknown export format {fmt!r} (use 'csv' or 'pgm')")
+    except OSError as exc:
+        raise OSError(f"failed writing map {fmt.upper()} to {path}: {exc}") from exc
 
 
 def read_map_csv(path) -> np.ndarray:

@@ -27,7 +27,6 @@ worst case is ~2e-14, at the Hankel handover).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -94,14 +93,15 @@ def _taylor_coeffs_j1(a: Decimal, j0a: Decimal, j1a: Decimal, count: int):
 
 def _build_taylor_tables():
     getcontext().prec = 50
-    t0 = np.empty((len(_ANCHOR_HALF_STEPS), _TAYLOR_TERMS))
+    # Row j holds the t^j coefficient at every anchor (one column each).
+    t0 = np.empty((_TAYLOR_TERMS, len(_ANCHOR_HALF_STEPS)))
     t1 = np.empty_like(t0)
-    for row, half_steps in enumerate(_ANCHOR_HALF_STEPS):
+    for col, half_steps in enumerate(_ANCHOR_HALF_STEPS):
         a = Decimal(int(half_steps)) / 2
         j0a = _decimal_maclaurin(0, a)
         j1a = _decimal_maclaurin(1, a)
-        t0[row] = [float(v) for v in _taylor_coeffs_j0(a, j0a, j1a, _TAYLOR_TERMS)]
-        t1[row] = [float(v) for v in _taylor_coeffs_j1(a, j0a, j1a, _TAYLOR_TERMS)]
+        t0[:, col] = [float(v) for v in _taylor_coeffs_j0(a, j0a, j1a, _TAYLOR_TERMS)]
+        t1[:, col] = [float(v) for v in _taylor_coeffs_j1(a, j0a, j1a, _TAYLOR_TERMS)]
     return t0, t1
 
 
@@ -140,10 +140,9 @@ def _taylor(ax: np.ndarray, order: int) -> np.ndarray:
     idx = np.clip(np.rint(2.0 * ax).astype(int) - _ANCHOR_HALF_STEPS[0],
                   0, len(_ANCHORS) - 1)
     t = ax - _ANCHORS[idx]
-    coeffs = table[idx]
-    result = coeffs[:, -1].copy()
+    result = table[-1][idx]
     for j in range(_TAYLOR_TERMS - 2, -1, -1):
-        result = result * t + coeffs[:, j]
+        result = result * t + table[j][idx]
     return result
 
 
@@ -231,28 +230,3 @@ def bessel_j1_oracle(x: float, panels: int = 4096) -> float:
 def bessel_j0_oracle(x: float, panels: int = 4096) -> float:
     """Quadrature oracle for J0; see :func:`bessel_j_oracle`."""
     return bessel_j_oracle(0, x, panels)
-
-
-@dataclass(frozen=True)
-class BesselEvaluation:
-    """One evaluation record: argument, value, and which method produced it."""
-
-    argument: float
-    value: float
-    method: str  # "series" | "asymptotic" | "oracle-quadrature"
-
-
-def _method_for(x: float) -> str:
-    return "series" if abs(x) <= ASYMPTOTIC_CUTOFF else "asymptotic"
-
-
-def evaluate_j1(x: float) -> BesselEvaluation:
-    """J1(x) together with the branch that computed it."""
-    return BesselEvaluation(argument=float(x), value=bessel_j1(x),
-                            method=_method_for(x))
-
-
-def evaluate_j0(x: float) -> BesselEvaluation:
-    """J0(x) together with the branch that computed it."""
-    return BesselEvaluation(argument=float(x), value=bessel_j0(x),
-                            method=_method_for(x))

@@ -241,3 +241,39 @@ def test_json_outputs_refuse_nan(tmp_path):
 
     with pytest.raises(ValueError):
         _write_json(tmp_path / "x.json", {"value": float("nan")})
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["example", "ex1", "--snr-db", "nan"], "--snr-db"),
+    (["example", "ex1", "--snr-db=-inf"], "--snr-db"),
+    (["example", "ex1", "--snr-db", "10", "--seed=-1"], "--seed"),
+    (["example", "ex1", "--seed=-1"], "--seed"),
+    (["example", "ex1", "--min-peak-value", "1.5"], "--min-peak-value"),
+    (["example", "ex1", "--min-peak-value", "0"], "--min-peak-value"),
+    (["example", "ex1", "--min-peak-value", "nan"], "--min-peak-value"),
+    (["example", "ex1", "--min-peak-separation", "0"], "--min-peak-separation"),
+    (["example", "ex1", "--min-peak-separation", "nan"],
+     "--min-peak-separation"),
+    (["synthesize", "--scene", "SCENE", "--snr-db", "nan"], "--snr-db"),
+    (["synthesize", "--scene", "SCENE", "--seed=-1"], "--seed"),
+    (["image", "--data", "DATA", "--min-peak-value", "1.5"],
+     "--min-peak-value"),
+    (["image", "--data", "DATA", "--min-peak-separation=-0.1"],
+     "--min-peak-separation"),
+])
+def test_bad_config_flags_exit_2_before_any_output(tmp_path, scene_file, capsys,
+                                                  argv, flag):
+    data_dir = tmp_path / "data"
+    assert main(["synthesize", "--scene", str(scene_file),
+                 "--out", str(data_dir)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [{"SCENE": str(scene_file),
+             "DATA": str(data_dir / "farfield.csv")}.get(a, a) for a in argv]
+    grid = [] if argv[0] == "synthesize" else COARSE
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out), *grid])
+    assert exc.value.code == 2
+    assert flag in _one_error_line(capsys)
+    assert list(out.iterdir()) == []

@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dsm2d
+from dsm2d.cli import example_scene
 from dsm2d.forward import FarFieldData, synthesize_far_field
 from dsm2d.imaging import (BAND_ROWS, IndicatorMap, Peak, SearchGrid,
-                           compute_map, export_map, extract_peaks, read_map_csv)
+                           _value_words, compute_map, export_map, extract_peaks,
+                           read_map_csv)
 from dsm2d.indicator import (closed_form_magnitude, dsm_indicator_raw,
                              predicted_peaks)
 from dsm2d.model import Inhomogeneity, Scene, make_observation_set
@@ -51,6 +53,9 @@ def test_indicator_map_shape_contract():
         values[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             IndicatorMap(grid=grid, values=values)
+    values = np.zeros((3, 3))  # taken over without a copy, made read-only
+    assert IndicatorMap(grid=grid, values=values).values is values
+    assert not values.flags.writeable
 
 
 def test_data_map_matches_scalar_indicator(ex1_data, demo_wave):
@@ -388,18 +393,77 @@ def test_csv_round_trip_full_precision(tmp_path, ex1_scene, demo_wave):
 
 
 def test_csv_export_is_byte_identical_to_per_node_reference(tmp_path):
-    grid = SearchGrid(-0.7, 0.3, -1.3, -0.9, 0.1)  # 11 x 5 nodes
-    values = np.random.default_rng(3).random((grid.ny, grid.nx))
-    values.flat[:6] = [0.0, 1.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 1.0 - 2.0 ** -53]
-    imap = IndicatorMap(grid=grid, values=values)
-    path = tmp_path / "map.csv"
-    export_map(imap, path, "csv")
-    reference = "x,y,value\n" + "".join(
-        f"{x:.17g},{y:.17g},{imap.values[i, j]:.17g}\n"
-        for i, y in enumerate(grid.y_nodes())
-        for j, x in enumerate(grid.x_nodes()))
-    assert path.read_bytes() == reference.encode("ascii")
-    assert np.array_equal(read_map_csv(path)[:, 2], values.ravel())
+    # 11 x 5 nodes fill one band; with 11 x 33 nodes the last band has one
+    # row. Fourth powers of uniforms put about 10 % of values below 1e-4.
+    assert SearchGrid(-0.7, 0.3, -1.3, 1.9, 0.1).ny == 2 * BAND_ROWS + 1
+    for y_max in (-0.9, 1.9):
+        grid = SearchGrid(-0.7, 0.3, -1.3, y_max, 0.1)
+        values = np.random.default_rng(3).random((grid.ny, grid.nx)) ** 4
+        values.flat[:6] = [0.0, 1.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 1.0 - 2.0 ** -53]
+        imap = IndicatorMap(grid=grid, values=values)
+        path = tmp_path / "map.csv"
+        export_map(imap, path, "csv")
+        reference = "x,y,value\n" + "".join(
+            f"{x:.17g},{y:.17g},{imap.values[i, j]:.17g}\n"
+            for i, y in enumerate(grid.y_nodes())
+            for j, x in enumerate(grid.x_nodes()))
+        assert path.read_bytes() == reference.encode("ascii")
+        assert np.array_equal(read_map_csv(path)[:, 2], values.ravel())
+
+
+def _formatted(values):
+    # the value field of each CSV line, without its newline
+    words = _value_words(np.asarray(values, dtype=float)).view(np.uint8)
+    return [bytes(row[row != 0]).decode("ascii").removesuffix("\n")
+            for row in words]
+
+
+def _near_powers_of_ten():
+    # 10**-k and a few ulp on either side, k = 0..6
+    base = np.array([10.0 ** -k for k in range(7)]).view(np.int64)
+    return (base[:, None] + np.arange(-3, 4)).ravel().view(np.float64)
+
+
+_FORMATTER_INPUTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 1.0),
+    st.floats(1e-4, 1.0, exclude_max=True),
+    st.sampled_from(_near_powers_of_ten().tolist()),
+    # exact ties at the 17th digit, which round half to even
+    st.integers(13107, 2 ** 17 - 1).map(lambda k: (2 * k + 1) * 2.0 ** -18))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FORMATTER_INPUTS, min_size=1, max_size=64))
+def test_value_formatter_matches_python_17g(values):
+    assert _formatted(values) == [f"{x:.17g}" for x in values]
+
+
+def test_value_formatter_edge_cases():
+    cases = [0.0, -0.0, 1.0, 5e-324, 1e-4, 0.1 + 0.2, 1.0 - 2.0 ** -53,
+             np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 0.5, 0.1, 1.5,
+             -0.3, *_near_powers_of_ten().tolist()]
+    assert _formatted(cases) == [f"{x:.17g}" for x in cases]
+    # 0.100009918212890625 and 0.100022888183593750 are exact ties
+    assert _formatted([26217 * 2.0 ** -18, 26215 * 2.0 ** -18]) == [
+        "0.10000991821289062", "0.10000228881835938"]
+
+
+def test_every_demo_map_reloads_bit_for_bit(tmp_path, demo_wave, default_grid,
+                                             obs256):
+    for which in ("ex1", "ex2", "ex3"):
+        scene = example_scene(which)
+        data = synthesize_far_field(scene, demo_wave, obs256)
+        for imap in (compute_map(data, default_grid,
+                                 wavenumber=demo_wave.wavenumber),
+                     compute_map((scene, demo_wave), default_grid)):
+            path = tmp_path / f"{which}.csv"
+            export_map(imap, path, "csv")
+            rows = read_map_csv(path)
+            assert np.array_equal(rows[:, 2], imap.values.ravel())
+            xs, ys = np.meshgrid(default_grid.x_nodes(), default_grid.y_nodes())
+            assert np.array_equal(rows[:, 0], xs.ravel())
+            assert np.array_equal(rows[:, 1], ys.ravel())
 
 
 def test_pgm_rejects_out_of_range(tmp_path):

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dsm2d.specfun import (ASYMPTOTIC_CUTOFF, bessel_j0, bessel_j0_oracle,
-                           bessel_j1, bessel_j1_oracle, bessel_j_oracle,
-                           evaluate_j0, evaluate_j1)
+from dsm2d.specfun import (bessel_j0, bessel_j0_oracle, bessel_j1,
+                           bessel_j1_oracle, bessel_j_oracle)
 
 # J1(1.8412) frozen from bessel_j_oracle(1, 1.8412, 1 << 16); the argument
 # is the tabulated location of J1's first maximum.
@@ -120,11 +119,15 @@ def test_global_bounds():
     assert np.all(np.abs(bessel_j1(xs)) <= 0.59)
 
 
-def test_evaluation_records_branch():
-    assert evaluate_j1(1.0).method == "series"
-    assert evaluate_j1(100.0).method == "asymptotic"
-    assert evaluate_j0(ASYMPTOTIC_CUTOFF - 0.01).method == "series"
-    assert evaluate_j0(ASYMPTOTIC_CUTOFF + 0.01).method == "asymptotic"
-    rec = evaluate_j1(1.8412)
-    assert rec.value == bessel_j1(1.8412)
-    assert rec.argument == 1.8412
+def test_taylor_zone_matches_row_gather_horner_bitwise():
+    # Reference: Horner over a gathered (n, terms) coefficient matrix.
+    from dsm2d.specfun import _ANCHORS, _TAYLOR_J0, _TAYLOR_J1, _taylor
+
+    ax = np.random.default_rng(11).uniform(1.75, 18.25, size=5000)
+    idx = np.clip(np.rint(2.0 * ax).astype(int) - 4, 0, len(_ANCHORS) - 1)
+    for order, table in ((0, _TAYLOR_J0), (1, _TAYLOR_J1)):
+        coeffs = table.T[idx]
+        want = coeffs[:, -1].copy()
+        for j in range(coeffs.shape[1] - 2, -1, -1):
+            want = want * (ax - _ANCHORS[idx]) + coeffs[:, j]
+        assert np.array_equal(_taylor(ax, order), want)
