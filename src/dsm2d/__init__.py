@@ -13,10 +13,9 @@ from .forward import (FarFieldData, NoiseSpec, add_noise, far_field_asymptotic,
                       synthesize_far_field, write_far_field)
 from .imaging import (IndicatorMap, Peak, SearchGrid, compute_map, export_map,
                       extract_peaks)
-from .indicator import (PeakPrediction, SamplingPoint, closed_form_magnitude,
-                        closed_form_residual, contrast_factor,
-                        dsm_indicator_raw, inner_product, predicted_peaks,
-                        test_vector)
+from .indicator import (PeakPrediction, closed_form_magnitude,
+                        contrast_factor, dsm_indicator_raw, inner_product,
+                        predicted_peaks, test_vector)
 from .model import (Inhomogeneity, ObservationSet, Scene, ValidationReport,
                     WaveContext, load_scene_config, make_observation_set,
                     validate_scene, wavelength_from_wavenumber,
@@ -27,12 +26,11 @@ from .specfun import (J1_FIRST_MAX, bessel_j0, bessel_j0_oracle, bessel_j1,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FarFieldData", "IndicatorMap", "Inhomogeneity",
-    "J1_FIRST_MAX", "NoiseSpec", "ObservationSet", "Peak", "PeakPrediction",
-    "SamplingPoint", "Scene", "SearchGrid", "ValidationReport",
-    "WaveContext", "add_noise", "bessel_j0", "bessel_j0_oracle", "bessel_j1",
-    "bessel_j1_oracle", "bessel_j_oracle", "closed_form_magnitude",
-    "closed_form_residual", "compute_map", "contrast_factor",
+    "FarFieldData", "IndicatorMap", "Inhomogeneity", "J1_FIRST_MAX",
+    "NoiseSpec", "ObservationSet", "Peak", "PeakPrediction", "Scene",
+    "SearchGrid", "ValidationReport", "WaveContext", "add_noise", "bessel_j0",
+    "bessel_j0_oracle", "bessel_j1", "bessel_j1_oracle", "bessel_j_oracle",
+    "closed_form_magnitude", "compute_map", "contrast_factor",
     "dsm_indicator_raw", "export_map", "extract_peaks",
     "far_field_asymptotic", "inner_product", "load_scene_config",
     "make_observation_set", "polarizability_factor", "predicted_peaks",

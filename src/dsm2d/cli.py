@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import (NoiseSpec, add_noise, read_far_field,
+from .forward import (SNR_DB_FLOOR, NoiseSpec, add_noise, read_far_field,
                       synthesize_far_field, write_far_field)
 from .imaging import SearchGrid, compute_map, export_map, extract_peaks
 from .indicator import contrast_factor, predicted_peaks
@@ -315,7 +315,8 @@ def _checked(convert, ok, rule: str):
 
 _positive_int = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _seed = _checked(int, lambda n: n >= 0, "an integer >= 0")
-_snr_db = _checked(float, lambda x: x > -math.inf, "a number (dB), not NaN or -inf")
+_snr_db = _checked(float, lambda x: x > SNR_DB_FLOOR,
+                   f"a number above {SNR_DB_FLOOR:.3f} (dB)")
 _peak_value = _checked(float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
 _peak_separation = _checked(float, lambda x: x > 0.0, "a number > 0")
 

@@ -25,6 +25,10 @@ import numpy as np
 from .model import (ObservationSet, Scene, WaveContext, make_observation_set,
                     scene_config_document)
 
+# The noise-to-signal power ratio 10 ** (-snr_db / 10) is a finite double
+# exactly when snr_db lies above -10 log10(DBL_MAX) = -3082.547... dB.
+SNR_DB_FLOOR = -10.0 * math.log10(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class FarFieldData:
@@ -51,7 +55,8 @@ class FarFieldData:
 class NoiseSpec:
     """Additive-noise request: target SNR in dB and an RNG seed.
 
-    ``snr_db = math.inf`` disables noise entirely. The seed feeds a
+    ``snr_db = math.inf`` disables noise entirely; values at or below
+    ``SNR_DB_FLOOR`` (and NaN) are rejected. The seed feeds a
     PCG64 generator (numpy default_rng), which has a documented, portable
     stream; run outputs are reproducible across platforms.
     """
@@ -60,8 +65,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        if not self.snr_db > SNR_DB_FLOOR:
+            raise ValueError(f"snr_db must be a number above {SNR_DB_FLOOR:.3f} dB, "
+                             f"got {self.snr_db!r}")
 
 
 def polarizability_factor(mu_m: float, mu_0: float) -> float:

@@ -82,7 +82,6 @@ class IndicatorMap:
 
     grid: SearchGrid
     values: np.ndarray
-    normalization: str = "grid-max"  # "grid-max" | "raw"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -92,8 +91,6 @@ class IndicatorMap:
             raise ValueError("values shape must be (ny, nx)")
         if not np.all(np.isfinite(v)):
             raise ValueError("map values must be finite")
-        if self.normalization not in ("grid-max", "raw"):
-            raise ValueError("normalization must be 'grid-max' or 'raw'")
 
 
 @dataclass(frozen=True)
@@ -107,21 +104,24 @@ class Peak:
 def _analytic_band_values(scene: Scene, wave: WaveContext, x_nodes: np.ndarray,
                           y_band: np.ndarray) -> np.ndarray:
     # Closed form over a (rows x nx) band; every operation is elementwise,
-    # so a node's value does not depend on the band it falls in.
+    # so a node's value does not depend on the band it falls in. All
+    # inclusions are stacked on axis 0, so J1 is called once per band.
     k = wave.wavenumber
     d = wave.incident_direction
     mu0 = scene.background_permeability
+    centers = np.array([inc.center for inc in scene.inclusions])
+    dx = centers[:, 0, np.newaxis, np.newaxis] - x_nodes
+    dy = centers[:, 1, np.newaxis, np.newaxis] - y_band[:, np.newaxis]
+    dist = np.hypot(dx, dy)
+    # At a center dx = dy = 0 and J1(0) = 0, so the term there is exactly 0.
+    directional = (dx * d[0] + dy * d[1]) / np.where(dist == 0.0, 1.0, dist)
+    dist *= k  # in place: one (n_inc, rows, nx) array fewer while J1 runs
+    j1 = bessel_j1(dist)
     total = np.zeros((y_band.size, x_nodes.size), dtype=complex)
-    for inc in scene.inclusions:
-        dx = inc.center[0] - x_nodes
-        dy = (inc.center[1] - y_band)[:, np.newaxis]
-        dist = np.hypot(dx, dy)
-        # At a center dx = dy = 0 and J1(0) = 0, so the term there is exactly 0.
-        safe = np.where(dist == 0.0, 1.0, dist)
-        directional = (dx * d[0] + dy * d[1]) / safe
+    for m, inc in enumerate(scene.inclusions):  # summed in scene order
         weight = (inc.radius ** 2 * contrast_factor(inc.permeability, mu0)
                   * np.exp(1j * k * float(np.dot(d, inc.center))))
-        total += weight * directional * bessel_j1(k * dist)
+        total += weight * directional[m] * j1[m]
     return np.abs(total)
 
 
@@ -183,7 +183,7 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     if peak == 0.0:
         raise ValueError("degenerate all-zero indicator map")
     values /= peak
-    return IndicatorMap(grid=grid, values=values, normalization="grid-max")
+    return IndicatorMap(grid=grid, values=values)
 
 
 def extract_peaks(indicator_map: IndicatorMap, min_value: float,

@@ -34,20 +34,6 @@ from .specfun import J1_FIRST_MAX, bessel_j1
 
 
 @dataclass(frozen=True)
-class SamplingPoint:
-    """One candidate location probed by the indicator."""
-
-    position: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.position, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "position", p)
-        if p.shape != (2,) or not np.all(np.isfinite(p)):
-            raise ValueError("position must be a finite 2D point")
-
-
-@dataclass(frozen=True)
 class PeakPrediction:
     """Predicted indicator-peak pair for one inclusion.
 
@@ -73,8 +59,7 @@ def test_vector(obs: ObservationSet, k: float, point) -> np.ndarray:
     """Components exp(-i*k*theta_n . x_s); each has modulus one."""
     if not (k > 0):
         raise ValueError("wavenumber must be positive")
-    pos = point.position if isinstance(point, SamplingPoint) else np.asarray(point, dtype=float)
-    return np.exp(-1j * k * (obs.directions @ pos))
+    return np.exp(-1j * k * (obs.directions @ np.asarray(point, dtype=float)))
 
 
 def dsm_indicator_raw(data: FarFieldData, k: float, point) -> float:
@@ -99,7 +84,7 @@ def closed_form_magnitude(scene: Scene, wave: WaveContext, point) -> float:
     docstring. The x_s = x_m term is defined as 0: J1 vanishes linearly
     at 0, so the singular unit vector is removable.
     """
-    pos = point.position if isinstance(point, SamplingPoint) else np.asarray(point, dtype=float)
+    pos = np.asarray(point, dtype=float)
     k = wave.wavenumber
     d = wave.incident_direction
     mu0 = scene.background_permeability
@@ -136,22 +121,3 @@ def predicted_peaks(scene: Scene, wave: WaveContext) -> list:
         out.append(PeakPrediction(inclusion_index=m, positions=(lo, hi),
                                   offset_radius=rho))
     return out
-
-
-def closed_form_residual(data: FarFieldData, scene: Scene, wave: WaveContext,
-                         grid_points) -> float:
-    """Sup difference between data-based and closed-form normalized maps.
-
-    Both maps are evaluated on the given sampling points and normalized
-    by their own maximum over those points before comparison.
-    """
-    pts = list(grid_points)
-    if not pts:
-        raise ValueError("grid must be nonempty")
-    a = np.array([dsm_indicator_raw(data, wave.wavenumber, p) for p in pts])
-    b = np.array([closed_form_magnitude(scene, wave, p) for p in pts])
-    amax = a.max()
-    bmax = b.max()
-    if amax == 0.0 or bmax == 0.0:
-        raise ValueError("degenerate all-zero map")
-    return float(np.max(np.abs(a / amax - b / bmax)))

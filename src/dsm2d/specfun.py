@@ -9,7 +9,11 @@ Self-contained double-precision implementations (no scipy). Three zones:
                    from the Bessel ODE recurrence, so the local step never
                    exceeds 0.25 and accuracy stays near machine level
                    (a direct ascending series loses ~5 digits to
-                   cancellation by x ~ 15);
+                   cancellation by x ~ 15). Sixteen terms suffice: over
+                   all anchors max |c_m| 0.25^m is 2.7e-17 at m = 12,
+                   1.4e-22 at m = 15 and 2.1e-24 at m = 16, and the
+                   16-term sums round to the same doubles as 26-term
+                   ones on every point tested (tests/test_specfun.py);
 * |x| > 18.25      Hankel large-argument expansion, truncated where its
                    terms are far below double precision.
 
@@ -35,7 +39,7 @@ MACLAURIN_CUTOFF = 1.75
 ASYMPTOTIC_CUTOFF = 18.25
 
 _ANCHOR_HALF_STEPS = np.arange(4, 38)  # anchors 2.0, 2.5, ..., 18.5
-_TAYLOR_TERMS = 26
+_TAYLOR_TERMS = 16
 _MACLAURIN_TERMS = 24
 _ASYMPTOTIC_TERMS = 15  # terms of P and Q each
 
@@ -140,9 +144,11 @@ def _taylor(ax: np.ndarray, order: int) -> np.ndarray:
     idx = np.clip(np.rint(2.0 * ax).astype(int) - _ANCHOR_HALF_STEPS[0],
                   0, len(_ANCHORS) - 1)
     t = ax - _ANCHORS[idx]
-    result = table[-1][idx]
+    # idx is in range, so mode="wrap" only skips the slower bounds check
+    result = table[-1].take(idx, mode="wrap")
     for j in range(_TAYLOR_TERMS - 2, -1, -1):
-        result = result * t + table[j][idx]
+        result *= t
+        result += table[j].take(idx, mode="wrap")
     return result
 
 
@@ -154,30 +160,38 @@ def _hankel(ax: np.ndarray, order: int) -> np.ndarray:
     q = np.zeros_like(ax)
     for j in range(_ASYMPTOTIC_TERMS - 1, -1, -1):
         sign = -1.0 if j % 2 else 1.0
-        p = p * inv2 + sign * a[2 * j]
-        q = q * inv2 + sign * a[2 * j + 1]
+        p *= inv2
+        p += sign * a[2 * j]
+        q *= inv2
+        q += sign * a[2 * j + 1]
     q /= ax
     w = ax - (0.5 * order + 0.25) * np.pi
-    return np.sqrt(2.0 / (np.pi * ax)) * (np.cos(w) * p - np.sin(w) * q)
+    p *= np.cos(w)  # cos(w) p - sin(w) q bit for bit: products commute
+    q *= np.sin(w)
+    p -= q
+    return np.sqrt(2.0 / (np.pi * ax)) * p
 
 
 def _eval(x, order: int):
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)):
         raise ValueError("Bessel argument must be finite")
-    ax = np.abs(xa).ravel()
-    out = np.empty_like(ax)
-    small = ax < MACLAURIN_CUTOFF
-    large = ax > ASYMPTOTIC_CUTOFF
+    # A fresh array; the zones are disjoint, so each overwrites only its own
+    # arguments with values and no second full-size array is needed.
+    out = np.abs(xa).ravel()
+    small = out < MACLAURIN_CUTOFF
+    large = out > ASYMPTOTIC_CUTOFF
     mid = ~small & ~large
     if np.any(small):
-        out[small] = _maclaurin(ax[small], order)
+        out[small] = _maclaurin(out[small], order)
     if np.any(mid):
-        out[mid] = _taylor(ax[mid], order)
+        out[mid] = _taylor(out[mid], order)
     if np.any(large):
-        out[large] = _hankel(ax[large], order)
+        out[large] = _hankel(out[large], order)
     if order == 1:
-        out = np.where(xa.ravel() < 0, -out, out)  # odd symmetry, exact
+        neg = xa.ravel() < 0  # odd symmetry, exact; -0.0 keeps J1 = +0.0
+        if neg.any():
+            np.negative(out, out=out, where=neg)
     if np.isscalar(x) or xa.ndim == 0:
         return float(out[0])
     return out.reshape(xa.shape)

@@ -260,6 +260,8 @@ def test_json_outputs_refuse_nan(tmp_path):
      "--min-peak-value"),
     (["image", "--data", "DATA", "--min-peak-separation=-0.1"],
      "--min-peak-separation"),
+    (["example", "ex1", "--snr-db=-1e308"], "--snr-db"),
+    (["synthesize", "--scene", "SCENE", "--snr-db=-3082.55"], "--snr-db"),
 ])
 def test_bad_config_flags_exit_2_before_any_output(tmp_path, scene_file, capsys,
                                                   argv, flag):

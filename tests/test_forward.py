@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from dsm2d.forward import (FarFieldData, NoiseSpec, achieved_snr_db, add_noise,
-                           far_field_asymptotic, polarizability_factor,
-                           read_far_field, synthesize_far_field,
-                           write_far_field)
+from dsm2d.forward import (SNR_DB_FLOOR, FarFieldData, NoiseSpec,
+                           achieved_snr_db, add_noise, far_field_asymptotic,
+                           polarizability_factor, read_far_field,
+                           synthesize_far_field, write_far_field)
 from dsm2d.model import Inhomogeneity, Scene, WaveContext, make_observation_set
 
 
@@ -176,6 +176,20 @@ def test_noise_rejects_zero_data(obs256):
 def test_noise_spec_rejects_nan():
     with pytest.raises(ValueError):
         NoiseSpec(snr_db=math.nan)
+
+
+def test_noise_spec_floor_is_where_the_power_ratio_overflows(ex1_data):
+    for bad in (SNR_DB_FLOOR, -1e308, -math.inf):
+        with pytest.raises(ValueError, match="snr_db"):
+            NoiseSpec(snr_db=bad)
+    with pytest.raises(OverflowError):
+        10.0 ** (-SNR_DB_FLOOR / 10.0)
+    lowest = math.nextafter(SNR_DB_FLOOR, math.inf)
+    assert math.isfinite(10.0 ** (-lowest / 10.0))
+    # The ratio is finite there, but the ex1 noise power is not: that is a
+    # ValueError from the data check, never an OverflowError.
+    with pytest.raises(ValueError, match="finite"):
+        add_noise(ex1_data, NoiseSpec(snr_db=lowest))
 
 
 # ---------------------------------------------------------------------------

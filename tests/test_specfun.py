@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dsm2d.specfun import (bessel_j0, bessel_j0_oracle, bessel_j1,
-                           bessel_j1_oracle, bessel_j_oracle)
+from dsm2d.specfun import (ASYMPTOTIC_CUTOFF, MACLAURIN_CUTOFF, bessel_j0,
+                           bessel_j0_oracle, bessel_j1, bessel_j1_oracle,
+                           bessel_j_oracle)
 
 # J1(1.8412) frozen from bessel_j_oracle(1, 1.8412, 1 << 16); the argument
 # is the tabulated location of J1's first maximum.
@@ -131,3 +132,55 @@ def test_taylor_zone_matches_row_gather_horner_bitwise():
         for j in range(coeffs.shape[1] - 2, -1, -1):
             want = want * (ax - _ANCHORS[idx]) + coeffs[:, j]
         assert np.array_equal(_taylor(ax, order), want)
+
+
+def _taylor_reference(ax, order, terms=26):
+    # Horner over 26-term tables, built the way specfun builds its own.
+    from decimal import Decimal, getcontext
+
+    from dsm2d.specfun import (_ANCHOR_HALF_STEPS, _ANCHORS,
+                               _decimal_maclaurin, _taylor_coeffs_j0,
+                               _taylor_coeffs_j1)
+
+    getcontext().prec = 50
+    coeffs = _taylor_coeffs_j0 if order == 0 else _taylor_coeffs_j1
+    table = np.empty((terms, len(_ANCHORS)))
+    for col, half_steps in enumerate(_ANCHOR_HALF_STEPS):
+        a = Decimal(int(half_steps)) / 2
+        j0a, j1a = _decimal_maclaurin(0, a), _decimal_maclaurin(1, a)
+        table[:, col] = [float(v) for v in coeffs(a, j0a, j1a, terms)]
+    idx = np.clip(np.rint(2.0 * ax).astype(int) - _ANCHOR_HALF_STEPS[0],
+                  0, len(_ANCHORS) - 1)
+    t = ax - _ANCHORS[idx]
+    want = table[-1][idx]
+    for j in range(terms - 2, -1, -1):
+        want = want * t + table[j][idx]
+    return want
+
+
+def test_taylor_zone_is_bitwise_the_26_term_series():
+    # Terms 16 to 25 stay below 2.2e-24 for |t| <= 0.25 and leave every
+    # rounded result as it was.
+    from dsm2d.specfun import _ANCHORS, _taylor
+
+    lo, hi = MACLAURIN_CUTOFF, ASYMPTOTIC_CUTOFF
+    edges = np.concatenate([_ANCHORS - 0.25, _ANCHORS + 0.25])
+    edges = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                            np.nextafter(edges, np.inf)])
+    ax = np.concatenate([np.linspace(lo, hi, 600_001),
+                         np.random.default_rng(3).uniform(lo, hi, 600_000),
+                         edges[(edges >= lo) & (edges <= hi)]])
+    for order in (0, 1):
+        assert _taylor(ax, order).tobytes() == _taylor_reference(ax, order).tobytes()
+
+
+def test_j1_negative_arguments_are_bitwise_negated():
+    x = np.concatenate([np.linspace(0.0, 60.0, 20_001)[1:],
+                        np.random.default_rng(5).uniform(0.0, 1000.0, 20_000)])
+    assert bessel_j1(-x).tobytes() == (-bessel_j1(x)).tobytes()
+    mixed = np.array([-0.0, 0.0, -2.5, 2.5, -30.0])
+    got = bessel_j1(mixed)
+    assert got[:2].tobytes() == np.zeros(2).tobytes()  # +0.0, not -0.0
+    assert got[2:].tobytes() == np.array([-bessel_j1(2.5), bessel_j1(2.5),
+                                          -bessel_j1(30.0)]).tobytes()
+    assert math.copysign(1.0, bessel_j1(-0.0)) == 1.0
