@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import (SNR_DB_FLOOR, NoiseSpec, add_noise, read_far_field,
-                      synthesize_far_field, write_far_field)
+from .forward import (SNR_DB_FLOOR, NoiseSpec, add_noise, contrast_factor,
+                      read_far_field, synthesize_far_field, write_far_field)
 from .imaging import SearchGrid, compute_map, export_map, extract_peaks
-from .indicator import contrast_factor, predicted_peaks
+from .indicator import predicted_peaks
 from .model import (Scene, Inhomogeneity, WaveContext, load_scene_config,
                     make_observation_set, scene_config_document,
                     scene_from_document, validate_scene,
@@ -120,7 +120,7 @@ def _load_scene_or_fail(path_str: str, args) -> dict:
 def _report_validation(scene, wave) -> None:
     report = validate_scene(scene, wave)
     for entry in report.entries:
-        print(f"[{entry.severity}] {entry.message}", file=sys.stderr)
+        print(f"[warning] {entry.message}", file=sys.stderr)
 
 
 def _noise_spec(args) -> NoiseSpec:
@@ -160,26 +160,24 @@ def _write_prediction(analytic_map, predictions, paths: dict) -> None:
 
 def cmd_synthesize(args) -> int:
     cfg = _load_scene_or_fail(args.scene, args)
+    scene, wave, obs = cfg["scene"], cfg["wave"], cfg["observations"]
+    spec = _noise_spec(args)
+    data = add_noise(synthesize_far_field(scene, wave, obs), spec)
     paths = _prepare_outputs(args.out, ["farfield.csv", "farfield.json"],
                              args.force)
-    scene, wave, obs = cfg["scene"], cfg["wave"], cfg["observations"]
     _report_validation(scene, wave)
-    data = synthesize_far_field(scene, wave, obs)
-    spec = _noise_spec(args)
-    data = add_noise(data, spec)
     write_far_field(data, paths["farfield.csv"], scene=scene, wave=wave,
                     noise=spec)
     print(f"wrote {paths['farfield.csv']} ({obs.count} samples)")
     return 0
 
 
-def _image_pipeline(data, wavenumber, scene, wave, grid, args, paths,
-                    map_csv: str, map_pgm: str):
+def _image_pipeline(data, wavenumber, scene, wave, grid, args, paths):
     """Shared by image/example: maps, peaks, optional residual."""
     data_map = compute_map(data, grid, wavenumber=wavenumber,
                            threads=args.threads)
-    export_map(data_map, paths[map_csv], "csv")
-    export_map(data_map, paths[map_pgm], "pgm")
+    export_map(data_map, paths["map.csv"], "csv")
+    export_map(data_map, paths["map.pgm"], "pgm")
     peaks = extract_peaks(data_map, args.min_peak_value,
                           args.min_peak_separation)
     residual = None
@@ -222,7 +220,7 @@ def cmd_image(args) -> int:
     paths = _prepare_outputs(args.out, ["map.csv", "map.pgm", "peaks.json"],
                              args.force)
     _, _, peaks, predictions, residual = _image_pipeline(
-        data, wavenumber, scene, wave, grid, args, paths, "map.csv", "map.pgm")
+        data, wavenumber, scene, wave, grid, args, paths)
     report = {"peaks": _peak_entries(peaks),
               "predicted": (_predicted_entries(predictions)
                             if predictions is not None else None),
@@ -253,6 +251,8 @@ def cmd_example(args) -> int:
     wave = example_wave()
     obs = make_observation_set(args.num_dirs)
     grid = _parse_grid(args.grid)
+    spec = _noise_spec(args)
+    data = add_noise(synthesize_far_field(scene, wave, obs), spec)
     out_dir = Path(args.out)
     names = ["scene.json", "farfield.csv", "farfield.json",
              "map.csv", "map.pgm", "peaks.json",
@@ -262,16 +262,11 @@ def cmd_example(args) -> int:
     _report_validation(scene, wave)
 
     _write_json(paths["scene.json"], scene_config_document(scene, wave, obs))
-
-    data = synthesize_far_field(scene, wave, obs)
-    spec = _noise_spec(args)
-    data = add_noise(data, spec)
     write_far_field(data, paths["farfield.csv"], scene=scene, wave=wave,
                     noise=spec)
 
     data_map, analytic_map, peaks, predictions, residual = _image_pipeline(
-        data, wave.wavenumber, scene, wave, grid, args, paths,
-        "map.csv", "map.pgm")
+        data, wave.wavenumber, scene, wave, grid, args, paths)
     _write_json(paths["peaks.json"], {"peaks": _peak_entries(peaks),
                                       "predicted": _predicted_entries(predictions),
                                       "residual": residual})
@@ -387,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--wavelength", type=float, default=None)
     p_pre.add_argument("--incident-deg", type=float, default=None,
                        dest="incident_deg")
-    p_pre.add_argument("--num-dirs", type=_positive_int, default=None,
-                       dest="num_dirs")
     _add_grid_flag(p_pre)
     _add_common_output_flags(p_pre)
     p_pre.set_defaults(func=cmd_predict)
@@ -412,10 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -70,17 +70,18 @@ class NoiseSpec:
                              f"got {self.snr_db!r}")
 
 
-def polarizability_factor(mu_m: float, mu_0: float) -> float:
-    """Scattering-strength scalar 2*mu_0 / (mu_m + mu_0).
+def contrast_factor(mu_m: float, mu_0: float) -> float:
+    """Per-inclusion contrast weight mu_0 / (mu_m + mu_0).
 
-    The polarizability tensor of a small disk is this scalar times the
-    identity, so d.M.theta = factor * (d.theta). Monotone decreasing in
-    mu_m: very-high-contrast inclusions scatter weakly and fade from the
+    The polarizability tensor of a small disk is twice this weight times
+    the identity, so d.M.theta = 2 * weight * (d.theta); the closed-form
+    indicator uses the weight itself. Monotone decreasing in mu_m:
+    very-high-contrast inclusions scatter weakly and fade from the
     indicator map.
     """
     if not (mu_m > 0) or not (mu_0 > 0):
         raise ValueError("permeabilities must be positive")
-    return 2.0 * mu_0 / (mu_m + mu_0)
+    return mu_0 / (mu_m + mu_0)
 
 
 def far_field_asymptotic(scene: Scene, wave: WaveContext, theta: np.ndarray) -> complex:
@@ -90,7 +91,7 @@ def far_field_asymptotic(scene: Scene, wave: WaveContext, theta: np.ndarray) -> 
                     * sum_m r_m^2 * pi * factor_m * (d.theta)
                     * exp(i k d.x_m) * exp(-i k theta.x_m)
 
-    with factor_m = 2*mu_0/(mu_m + mu_0) and pi the unit-disk area.
+    with factor_m = 2 * contrast_factor(mu_m, mu_0) and pi the unit-disk area.
     """
     theta = np.asarray(theta, dtype=float)
     k = wave.wavenumber
@@ -99,7 +100,7 @@ def far_field_asymptotic(scene: Scene, wave: WaveContext, theta: np.ndarray) -> 
     mu0 = scene.background_permeability
     total = 0.0 + 0.0j
     for inc in scene.inclusions:
-        factor = polarizability_factor(inc.permeability, mu0)
+        factor = 2.0 * contrast_factor(inc.permeability, mu0)
         angular = factor * float(np.dot(d, theta))
         phase = np.exp(1j * k * float(np.dot(d, inc.center))
                        - 1j * k * float(np.dot(theta, inc.center)))
@@ -137,6 +138,9 @@ def add_noise(data: FarFieldData, spec: NoiseSpec) -> FarFieldData:
     noise = draws[:, 0] + 1j * draws[:, 1]
     raw_power = float(np.sum(np.abs(noise) ** 2))
     target_power = signal_power * 10.0 ** (-spec.snr_db / 10.0)
+    if not math.isfinite(target_power):
+        raise ValueError(f"noise power overflows at {spec.snr_db} dB "
+                         f"for signal power {signal_power:.6g}")
     noise *= math.sqrt(target_power / raw_power)
     return FarFieldData(observation_set=data.observation_set,
                         incident_direction=data.incident_direction,

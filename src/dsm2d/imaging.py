@@ -19,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import FarFieldData
-from .indicator import contrast_factor
+from .forward import FarFieldData, contrast_factor
 from .model import Scene, WaveContext
 from .specfun import bessel_j1
 
@@ -109,7 +108,7 @@ def _analytic_band_values(scene: Scene, wave: WaveContext, x_nodes: np.ndarray,
     k = wave.wavenumber
     d = wave.incident_direction
     mu0 = scene.background_permeability
-    centers = np.array([inc.center for inc in scene.inclusions])
+    centers = scene.centers
     dx = centers[:, 0, np.newaxis, np.newaxis] - x_nodes
     dy = centers[:, 1, np.newaxis, np.newaxis] - y_band[:, np.newaxis]
     dist = np.hypot(dx, dy)

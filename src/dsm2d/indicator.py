@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import FarFieldData
+from .forward import FarFieldData, contrast_factor
 from .model import ObservationSet, Scene, WaveContext
 from .specfun import J1_FIRST_MAX, bessel_j1
 
@@ -94,18 +94,11 @@ def closed_form_magnitude(scene: Scene, wave: WaveContext, point) -> float:
         dist = float(np.hypot(dx[0], dx[1]))
         if dist == 0.0:
             continue
-        contrast = mu0 / (inc.permeability + mu0)
+        contrast = contrast_factor(inc.permeability, mu0)
         directional = float(np.dot(dx, d)) / dist
         phase = np.exp(1j * k * float(np.dot(d, inc.center)))
         total += inc.radius ** 2 * contrast * directional * phase * bessel_j1(k * dist)
     return abs(total)
-
-
-def contrast_factor(mu_m: float, mu_0: float) -> float:
-    """Per-inclusion weight mu_0 / (mu_m + mu_0) in the closed form."""
-    if not (mu_m > 0) or not (mu_0 > 0):
-        raise ValueError("permeabilities must be positive")
-    return mu_0 / (mu_m + mu_0)
 
 
 def predicted_peaks(scene: Scene, wave: WaveContext) -> list:

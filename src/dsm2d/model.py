@@ -140,16 +140,8 @@ def wavenumber_from_wavelength(wavelength: float) -> float:
     return 2.0 * math.pi / wavelength
 
 
-def wavelength_from_wavenumber(wavenumber: float) -> float:
-    """Inverse of :func:`wavenumber_from_wavelength`."""
-    if not (wavenumber > 0 and math.isfinite(wavenumber)):
-        raise ValueError("wavenumber must be positive and finite")
-    return 2.0 * math.pi / wavenumber
-
-
 @dataclass(frozen=True)
 class ValidationEntry:
-    severity: str  # "warning" | "error"
     message: str
 
 
@@ -161,43 +153,28 @@ class ValidationReport:
     def ok(self) -> bool:
         return len(self.entries) == 0
 
-    @property
-    def warnings(self):
-        return [e for e in self.entries if e.severity == "warning"]
 
-    @property
-    def errors(self):
-        return [e for e in self.entries if e.severity == "error"]
-
-
-def validate_scene(scene: Scene, wave: WaveContext,
-                   threshold: float = DEFAULT_SEPARATION_THRESHOLD) -> ValidationReport:
+def validate_scene(scene: Scene, wave: WaveContext) -> ValidationReport:
     """Check the standing assumptions: separation and small-radius bounds.
 
     Emits a warning for every inclusion pair with k*|x_m - x_m'| below
-    ``threshold`` (an error if the distance is zero) and for every radius
-    exceeding lambda/2. Warnings do not block imaging.
+    ``DEFAULT_SEPARATION_THRESHOLD`` and for every radius exceeding
+    lambda/2. ``Scene`` already rejects coincident centers, so every
+    distance here is positive. Warnings do not block imaging.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     entries = []
     k = wave.wavenumber
     incs = scene.inclusions
     for m in range(len(incs)):
         for mp in range(m + 1, len(incs)):
             dist = float(np.hypot(*(incs[m].center - incs[mp].center)))
-            if dist == 0.0:
+            if k * dist < DEFAULT_SEPARATION_THRESHOLD:
                 entries.append(ValidationEntry(
-                    "error", f"inclusions {m} and {mp} share a center"))
-            elif k * dist < threshold:
-                entries.append(ValidationEntry(
-                    "warning",
                     f"inclusions {m} and {mp}: k*distance = {k * dist:.4g} "
-                    f"below threshold {threshold:.4g}"))
+                    f"below threshold {DEFAULT_SEPARATION_THRESHOLD:.4g}"))
     for m, inc in enumerate(incs):
         if inc.radius > wave.wavelength / 2.0:
             entries.append(ValidationEntry(
-                "warning",
                 f"inclusion {m}: radius {inc.radius:.4g} exceeds half the "
                 f"wavelength {wave.wavelength:.4g}"))
     return ValidationReport(entries=tuple(entries))

@@ -1,6 +1,6 @@
-"""Real Bessel functions of the first kind, orders 0 and 1.
+"""Real Bessel function of the first kind, order 1.
 
-Self-contained double-precision implementations (no scipy). Three zones:
+Self-contained double-precision J1 (no scipy). Three zones:
 
 * |x| < 1.75       ascending Maclaurin series (no cancellation there);
 * 1.75 - 18.25     Taylor expansion about the nearest half-integer anchor.
@@ -16,6 +16,9 @@ Self-contained double-precision implementations (no scipy). Three zones:
                    ones on every point tested (tests/test_specfun.py);
 * |x| > 18.25      Hankel large-argument expansion, truncated where its
                    terms are far below double precision.
+
+J0 appears in only two places: the 50-digit anchor values J0(a), which
+seed the J1 recurrence, and the quadrature oracle below.
 
 An independent trapezoid-rule quadrature of the integral representation
 
@@ -69,17 +72,6 @@ def _decimal_maclaurin(order: int, a: Decimal) -> Decimal:
         k += 1
 
 
-def _taylor_coeffs_j0(a: Decimal, j0a: Decimal, j1a: Decimal, count: int):
-    # t^m coefficient of (a+t) y'' + y' + (a+t) y = 0:
-    #   a (m+2)(m+1) c_{m+2} + (m+1)^2 c_{m+1} + a c_m + c_{m-1} = 0
-    c = [j0a, -j1a]
-    for m in range(count - 2):
-        prev = c[m - 1] if m >= 1 else Decimal(0)
-        c.append(-(((m + 1) ** 2) * c[m + 1] + a * c[m] + prev)
-                 / (a * (m + 2) * (m + 1)))
-    return c
-
-
 def _taylor_coeffs_j1(a: Decimal, j0a: Decimal, j1a: Decimal, count: int):
     # t^m coefficient of (a+t)^2 y'' + (a+t) y' + ((a+t)^2 - 1) y = 0:
     #   a^2 (m+2)(m+1) c_{m+2} + a(m+1)(2m+1) c_{m+1}
@@ -98,15 +90,13 @@ def _taylor_coeffs_j1(a: Decimal, j0a: Decimal, j1a: Decimal, count: int):
 def _build_taylor_tables():
     getcontext().prec = 50
     # Row j holds the t^j coefficient at every anchor (one column each).
-    t0 = np.empty((_TAYLOR_TERMS, len(_ANCHOR_HALF_STEPS)))
-    t1 = np.empty_like(t0)
+    table = np.empty((_TAYLOR_TERMS, len(_ANCHOR_HALF_STEPS)))
     for col, half_steps in enumerate(_ANCHOR_HALF_STEPS):
         a = Decimal(int(half_steps)) / 2
         j0a = _decimal_maclaurin(0, a)
         j1a = _decimal_maclaurin(1, a)
-        t0[:, col] = [float(v) for v in _taylor_coeffs_j0(a, j0a, j1a, _TAYLOR_TERMS)]
-        t1[:, col] = [float(v) for v in _taylor_coeffs_j1(a, j0a, j1a, _TAYLOR_TERMS)]
-    return t0, t1
+        table[:, col] = [float(v) for v in _taylor_coeffs_j1(a, j0a, j1a, _TAYLOR_TERMS)]
+    return table
 
 
 def _hankel_coeffs(order: int, count: int) -> np.ndarray:
@@ -119,9 +109,8 @@ def _hankel_coeffs(order: int, count: int) -> np.ndarray:
     return a
 
 
-_TAYLOR_J0, _TAYLOR_J1 = _build_taylor_tables()
+_TAYLOR_J1 = _build_taylor_tables()
 _ANCHORS = _ANCHOR_HALF_STEPS / 2.0
-_HANKEL_A0 = _hankel_coeffs(0, 2 * _ASYMPTOTIC_TERMS + 1)
 _HANKEL_A1 = _hankel_coeffs(1, 2 * _ASYMPTOTIC_TERMS + 1)
 
 
@@ -129,50 +118,53 @@ _HANKEL_A1 = _hankel_coeffs(1, 2 * _ASYMPTOTIC_TERMS + 1)
 # Evaluation zones
 # ---------------------------------------------------------------------------
 
-def _maclaurin(ax: np.ndarray, order: int) -> np.ndarray:
+def _maclaurin(ax: np.ndarray) -> np.ndarray:
     q = 0.25 * ax * ax
-    term = np.ones_like(ax) if order == 0 else 0.5 * ax
+    term = 0.5 * ax
     total = term.copy()
     for k in range(1, _MACLAURIN_TERMS):
-        term = term * (-q) / (k * (k + order))
+        term = term * (-q) / (k * (k + 1))
         total += term
     return total
 
 
-def _taylor(ax: np.ndarray, order: int) -> np.ndarray:
-    table = _TAYLOR_J0 if order == 0 else _TAYLOR_J1
+def _taylor(ax: np.ndarray) -> np.ndarray:
     idx = np.clip(np.rint(2.0 * ax).astype(int) - _ANCHOR_HALF_STEPS[0],
                   0, len(_ANCHORS) - 1)
     t = ax - _ANCHORS[idx]
     # idx is in range, so mode="wrap" only skips the slower bounds check
-    result = table[-1].take(idx, mode="wrap")
+    result = _TAYLOR_J1[-1].take(idx, mode="wrap")
     for j in range(_TAYLOR_TERMS - 2, -1, -1):
         result *= t
-        result += table[j].take(idx, mode="wrap")
+        result += _TAYLOR_J1[j].take(idx, mode="wrap")
     return result
 
 
-def _hankel(ax: np.ndarray, order: int) -> np.ndarray:
-    # J_n(x) = sqrt(2/(pi x)) [cos(w) P(x) - sin(w) Q(x)], w = x - n pi/2 - pi/4
-    a = _HANKEL_A0 if order == 0 else _HANKEL_A1
+def _hankel(ax: np.ndarray) -> np.ndarray:
+    # J1(x) = sqrt(2/(pi x)) [cos(w) P(x) - sin(w) Q(x)], w = x - 3 pi/4
     inv2 = 1.0 / (ax * ax)
     p = np.zeros_like(ax)
     q = np.zeros_like(ax)
     for j in range(_ASYMPTOTIC_TERMS - 1, -1, -1):
         sign = -1.0 if j % 2 else 1.0
         p *= inv2
-        p += sign * a[2 * j]
+        p += sign * _HANKEL_A1[2 * j]
         q *= inv2
-        q += sign * a[2 * j + 1]
+        q += sign * _HANKEL_A1[2 * j + 1]
     q /= ax
-    w = ax - (0.5 * order + 0.25) * np.pi
+    w = ax - 0.75 * np.pi
     p *= np.cos(w)  # cos(w) p - sin(w) q bit for bit: products commute
     q *= np.sin(w)
     p -= q
     return np.sqrt(2.0 / (np.pi * ax)) * p
 
 
-def _eval(x, order: int):
+def bessel_j1(x):
+    """J1(x) for finite real x (scalar or array).
+
+    Odd symmetry is exact by construction: the value is computed on |x|
+    and negated for negative arguments.
+    """
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)):
         raise ValueError("Bessel argument must be finite")
@@ -183,35 +175,17 @@ def _eval(x, order: int):
     large = out > ASYMPTOTIC_CUTOFF
     mid = ~small & ~large
     if np.any(small):
-        out[small] = _maclaurin(out[small], order)
+        out[small] = _maclaurin(out[small])
     if np.any(mid):
-        out[mid] = _taylor(out[mid], order)
+        out[mid] = _taylor(out[mid])
     if np.any(large):
-        out[large] = _hankel(out[large], order)
-    if order == 1:
-        neg = xa.ravel() < 0  # odd symmetry, exact; -0.0 keeps J1 = +0.0
-        if neg.any():
-            np.negative(out, out=out, where=neg)
+        out[large] = _hankel(out[large])
+    neg = xa.ravel() < 0  # odd symmetry, exact; -0.0 keeps J1 = +0.0
+    if neg.any():
+        np.negative(out, out=out, where=neg)
     if np.isscalar(x) or xa.ndim == 0:
         return float(out[0])
     return out.reshape(xa.shape)
-
-
-def bessel_j0(x):
-    """J0(x) for finite real x (scalar or array).
-
-    Even symmetry holds exactly; the sign of x never enters.
-    """
-    return _eval(x, 0)
-
-
-def bessel_j1(x):
-    """J1(x) for finite real x (scalar or array).
-
-    Odd symmetry is exact by construction: the value is computed on |x|
-    and negated for negative arguments.
-    """
-    return _eval(x, 1)
 
 
 # ---------------------------------------------------------------------------

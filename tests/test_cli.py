@@ -262,6 +262,7 @@ def test_json_outputs_refuse_nan(tmp_path):
      "--min-peak-separation"),
     (["example", "ex1", "--snr-db=-1e308"], "--snr-db"),
     (["synthesize", "--scene", "SCENE", "--snr-db=-3082.55"], "--snr-db"),
+    (["predict", "--scene", "SCENE", "--num-dirs", "3"], "--num-dirs"),
 ])
 def test_bad_config_flags_exit_2_before_any_output(tmp_path, scene_file, capsys,
                                                   argv, flag):
@@ -279,3 +280,22 @@ def test_bad_config_flags_exit_2_before_any_output(tmp_path, scene_file, capsys,
     assert exc.value.code == 2
     assert flag in _one_error_line(capsys)
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("command", ["example", "synthesize"])
+def test_noise_power_overflow_exits_1_without_outputs(tmp_path, scene_file,
+                                                      capsys, command,
+                                                      existing):
+    # 10^(308.25) is finite, but times the signal power it is not.
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+    argv = (["example", "ex1", *COARSE] if command == "example"
+            else ["synthesize", "--scene", str(scene_file)])
+    assert main([*argv, "--snr-db=-3082.5", "--out", str(out)]) == 1
+    assert "noise power overflows" in _one_error_line(capsys)
+    if existing:
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.exists()

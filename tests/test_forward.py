@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsm2d.forward import (SNR_DB_FLOOR, FarFieldData, NoiseSpec,
-                           achieved_snr_db, add_noise, far_field_asymptotic,
-                           polarizability_factor, read_far_field,
+                           achieved_snr_db, add_noise, contrast_factor,
+                           far_field_asymptotic, read_far_field,
                            synthesize_far_field, write_far_field)
 from dsm2d.model import Inhomogeneity, Scene, WaveContext, make_observation_set
 
@@ -18,22 +20,28 @@ def _single_scene(center, radius=0.1, mu=5.0):
                                            radius, mu),))
 
 
-def test_polarizability_examples():
-    assert polarizability_factor(5.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert polarizability_factor(7.0, 7.0) == 1.0
-    assert polarizability_factor(1e12, 1.0) == pytest.approx(0.0, abs=1e-11)
-
-
-def test_polarizability_monotone_decreasing():
-    values = [polarizability_factor(mu, 1.0) for mu in (1.0, 2.0, 5.0, 50.0)]
+def test_contrast_factor_values_monotone_and_positive_only():
+    # The polarizability scalar is 2 * contrast_factor.
+    assert 2.0 * contrast_factor(5.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert 2.0 * contrast_factor(7.0, 7.0) == 1.0
+    assert contrast_factor(1e12, 1.0) == pytest.approx(0.0, abs=1e-11)
+    values = [contrast_factor(mu, 1.0) for mu in (1.0, 2.0, 5.0, 50.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
+    with pytest.raises(ValueError):
+        contrast_factor(0.0, 1.0)
+    with pytest.raises(ValueError):
+        contrast_factor(5.0, -1.0)
 
 
-def test_polarizability_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        polarizability_factor(0.0, 1.0)
-    with pytest.raises(ValueError):
-        polarizability_factor(5.0, -1.0)
+_PERMEABILITY = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mu=_PERMEABILITY, mu0=_PERMEABILITY)
+def test_twice_contrast_factor_is_the_polarizability_bitwise(mu, mu0):
+    # Oracle: the polarizability scalar as far_field_asymptotic once wrote
+    # it. Doubling is exact, so both roundings happen in the quotient.
+    assert 2.0 * contrast_factor(mu, mu0) == 2.0 * mu0 / (mu + mu0)
 
 
 def test_far_field_vanishes_orthogonal():
@@ -187,8 +195,8 @@ def test_noise_spec_floor_is_where_the_power_ratio_overflows(ex1_data):
     lowest = math.nextafter(SNR_DB_FLOOR, math.inf)
     assert math.isfinite(10.0 ** (-lowest / 10.0))
     # The ratio is finite there, but the ex1 noise power is not: that is a
-    # ValueError from the data check, never an OverflowError.
-    with pytest.raises(ValueError, match="finite"):
+    # ValueError raised before any noise is scaled, never an OverflowError.
+    with pytest.raises(ValueError, match="noise power overflows"):
         add_noise(ex1_data, NoiseSpec(snr_db=lowest))
 
 

@@ -12,12 +12,12 @@ from hypothesis.extra.numpy import arrays
 
 import dsm2d
 from dsm2d.cli import example_scene
-from dsm2d.forward import FarFieldData, synthesize_far_field
+from dsm2d.forward import FarFieldData, contrast_factor, synthesize_far_field
 from dsm2d.imaging import (BAND_ROWS, IndicatorMap, Peak, SearchGrid,
                            _analytic_band_values, _value_words, compute_map,
                            export_map, extract_peaks, read_map_csv)
-from dsm2d.indicator import (closed_form_magnitude, contrast_factor,
-                             dsm_indicator_raw, predicted_peaks)
+from dsm2d.indicator import (closed_form_magnitude, dsm_indicator_raw,
+                             predicted_peaks)
 from dsm2d.model import Inhomogeneity, Scene, make_observation_set
 from dsm2d.specfun import bessel_j1
 

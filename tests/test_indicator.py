@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from dsm2d.forward import FarFieldData, synthesize_far_field
+from dsm2d.forward import FarFieldData, contrast_factor, synthesize_far_field
 # test_vector is aliased so pytest does not collect it as a test function
 from dsm2d.indicator import test_vector as probe_vector
 from dsm2d.indicator import (PeakPrediction, closed_form_magnitude,
-                             contrast_factor, dsm_indicator_raw, inner_product,
-                             predicted_peaks)
+                             dsm_indicator_raw, inner_product, predicted_peaks)
 from dsm2d.model import (Inhomogeneity, Scene, WaveContext,
                          make_observation_set)
 from dsm2d.specfun import bessel_j1

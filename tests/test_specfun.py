@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dsm2d.specfun import (ASYMPTOTIC_CUTOFF, MACLAURIN_CUTOFF, bessel_j0,
+from dsm2d.specfun import (ASYMPTOTIC_CUTOFF, MACLAURIN_CUTOFF,
                            bessel_j0_oracle, bessel_j1, bessel_j1_oracle,
                            bessel_j_oracle)
 
@@ -18,10 +18,6 @@ def test_j1_at_zero():
     assert bessel_j1(0.0) == 0.0
 
 
-def test_j0_at_zero():
-    assert bessel_j0(0.0) == 1.0
-
-
 def test_j1_global_max_value():
     assert bessel_j1(1.8412) == pytest.approx(J1_AT_PEAK, abs=1e-10)
 
@@ -31,29 +27,16 @@ def test_j1_odd_symmetry_exact():
         assert bessel_j1(-x) == -bessel_j1(x)
 
 
-def test_j0_even_symmetry_exact():
-    for x in (5.0, 0.1, 14.4999, 987.0):
-        assert bessel_j0(-x) == bessel_j0(x)
-
-
-def test_j0_first_zero():
-    assert abs(bessel_j0(2.404826)) < 1e-5
-
-
 def test_rejects_non_finite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             bessel_j1(bad)
-        with pytest.raises(ValueError):
-            bessel_j0(bad)
 
 
 def test_vectorized_matches_scalar():
     xs = np.linspace(-40.0, 40.0, 257)
-    v0 = bessel_j0(xs)
     v1 = bessel_j1(xs)
     for i, x in enumerate(xs):
-        assert v0[i] == bessel_j0(float(x))
         assert v1[i] == bessel_j1(float(x))
 
 
@@ -95,60 +78,57 @@ def test_oracle_agreement_random_sample():
 
 
 # ---------------------------------------------------------------------------
-# Classical identities, with the oracle supplying the higher order
+# Classical identities, with the oracle supplying J0 and J2
 # ---------------------------------------------------------------------------
 
 def test_recurrence_residual():
     xs = np.logspace(math.log10(0.1), math.log10(500.0), 40)
     for x in xs:
         j2 = bessel_j_oracle(2, float(x), 1 << 15)
-        residual = bessel_j0(float(x)) + j2 - (2.0 / x) * bessel_j1(float(x))
+        j0 = bessel_j0_oracle(float(x), 1 << 15)
+        residual = j0 + j2 - (2.0 / x) * bessel_j1(float(x))
         assert abs(residual) < 1e-9
 
 
 def test_derivative_identity():
     h = 1e-5
     for x in (0.5, 1.8412, 3.0, 12.0, 14.49, 14.51, 25.0, 130.0):
-        j0_prime = (bessel_j0(x + h) - bessel_j0(x - h)) / (2.0 * h)
+        j0_prime = (bessel_j0_oracle(x + h) - bessel_j0_oracle(x - h)) / (2.0 * h)
         assert abs(j0_prime + bessel_j1(x)) < 1e-8
 
 
 def test_global_bounds():
     rng = np.random.default_rng(7)
     xs = rng.uniform(-1000.0, 1000.0, size=4000)
-    assert np.all(np.abs(bessel_j0(xs)) <= 1.0 + 1e-12)
     assert np.all(np.abs(bessel_j1(xs)) <= 0.59)
 
 
 def test_taylor_zone_matches_row_gather_horner_bitwise():
     # Reference: Horner over a gathered (n, terms) coefficient matrix.
-    from dsm2d.specfun import _ANCHORS, _TAYLOR_J0, _TAYLOR_J1, _taylor
+    from dsm2d.specfun import _ANCHORS, _TAYLOR_J1, _taylor
 
     ax = np.random.default_rng(11).uniform(1.75, 18.25, size=5000)
     idx = np.clip(np.rint(2.0 * ax).astype(int) - 4, 0, len(_ANCHORS) - 1)
-    for order, table in ((0, _TAYLOR_J0), (1, _TAYLOR_J1)):
-        coeffs = table.T[idx]
-        want = coeffs[:, -1].copy()
-        for j in range(coeffs.shape[1] - 2, -1, -1):
-            want = want * (ax - _ANCHORS[idx]) + coeffs[:, j]
-        assert np.array_equal(_taylor(ax, order), want)
+    coeffs = _TAYLOR_J1.T[idx]
+    want = coeffs[:, -1].copy()
+    for j in range(coeffs.shape[1] - 2, -1, -1):
+        want = want * (ax - _ANCHORS[idx]) + coeffs[:, j]
+    assert np.array_equal(_taylor(ax), want)
 
 
-def _taylor_reference(ax, order, terms=26):
+def _taylor_reference(ax, terms=26):
     # Horner over 26-term tables, built the way specfun builds its own.
     from decimal import Decimal, getcontext
 
     from dsm2d.specfun import (_ANCHOR_HALF_STEPS, _ANCHORS,
-                               _decimal_maclaurin, _taylor_coeffs_j0,
-                               _taylor_coeffs_j1)
+                               _decimal_maclaurin, _taylor_coeffs_j1)
 
     getcontext().prec = 50
-    coeffs = _taylor_coeffs_j0 if order == 0 else _taylor_coeffs_j1
     table = np.empty((terms, len(_ANCHORS)))
     for col, half_steps in enumerate(_ANCHOR_HALF_STEPS):
         a = Decimal(int(half_steps)) / 2
         j0a, j1a = _decimal_maclaurin(0, a), _decimal_maclaurin(1, a)
-        table[:, col] = [float(v) for v in coeffs(a, j0a, j1a, terms)]
+        table[:, col] = [float(v) for v in _taylor_coeffs_j1(a, j0a, j1a, terms)]
     idx = np.clip(np.rint(2.0 * ax).astype(int) - _ANCHOR_HALF_STEPS[0],
                   0, len(_ANCHORS) - 1)
     t = ax - _ANCHORS[idx]
@@ -170,8 +150,7 @@ def test_taylor_zone_is_bitwise_the_26_term_series():
     ax = np.concatenate([np.linspace(lo, hi, 600_001),
                          np.random.default_rng(3).uniform(lo, hi, 600_000),
                          edges[(edges >= lo) & (edges <= hi)]])
-    for order in (0, 1):
-        assert _taylor(ax, order).tobytes() == _taylor_reference(ax, order).tobytes()
+    assert _taylor(ax).tobytes() == _taylor_reference(ax).tobytes()
 
 
 def test_j1_negative_arguments_are_bitwise_negated():
