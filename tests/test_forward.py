@@ -20,13 +20,20 @@ def _single_scene(center, radius=0.1, mu=5.0):
                                            radius, mu),))
 
 
-def test_contrast_factor_values_monotone_and_positive_only():
-    # The polarizability scalar is 2 * contrast_factor.
+# The polarizability scalar 2 mu0 / (mu + mu0) is 2 * contrast_factor.
+
+def test_polarizability_examples():
     assert 2.0 * contrast_factor(5.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert 2.0 * contrast_factor(7.0, 7.0) == 1.0
-    assert contrast_factor(1e12, 1.0) == pytest.approx(0.0, abs=1e-11)
-    values = [contrast_factor(mu, 1.0) for mu in (1.0, 2.0, 5.0, 50.0)]
+    assert 2.0 * contrast_factor(1e12, 1.0) == pytest.approx(0.0, abs=1e-11)
+
+
+def test_polarizability_monotone_decreasing():
+    values = [2.0 * contrast_factor(mu, 1.0) for mu in (1.0, 2.0, 5.0, 50.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_polarizability_rejects_nonpositive():
     with pytest.raises(ValueError):
         contrast_factor(0.0, 1.0)
     with pytest.raises(ValueError):
