@@ -8,8 +8,10 @@ Subcommands
     example      run one of the three shipped single-wave demos end to end
 
 Exit codes: 0 on success, 1 when the computation is degenerate (for
-example all-zero data), 2 for configuration or I/O problems. Outputs are
-never overwritten unless ``--force`` is given, and every command is
+example all-zero data), 2 for configuration or I/O problems. Every
+subcommand computes all its results before ``_write_outputs`` creates the
+output directory, so a run that fails writes nothing. Outputs are never
+overwritten unless ``--force`` is given, and every command is
 deterministic for a fixed configuration and seed.
 """
 
@@ -25,7 +27,8 @@ import numpy as np
 
 from .forward import (SNR_DB_FLOOR, NoiseSpec, add_noise, contrast_factor,
                       read_far_field, synthesize_far_field, write_far_field)
-from .imaging import SearchGrid, compute_map, export_map, extract_peaks
+from .imaging import (IndicatorMap, SearchGrid, compute_map, export_map,
+                      extract_peaks)
 from .indicator import predicted_peaks
 from .model import (Scene, Inhomogeneity, WaveContext, load_scene_config,
                     make_observation_set, scene_config_document,
@@ -79,29 +82,18 @@ def _parse_grid(spec: str) -> SearchGrid:
         raise ConfigError(f"bad --grid {spec!r}: {exc}") from exc
 
 
-def _prepare_outputs(out: str, names, force: bool) -> dict:
-    out_dir = Path(out)
-    paths = {name: out_dir / name for name in names}
-    if not force:
-        clashes = [str(p) for p in paths.values() if p.exists()]
-        if clashes:
-            raise ConfigError("refusing to overwrite existing outputs "
-                              f"({', '.join(clashes)}); pass --force to allow")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return paths
-
-
 def _apply_overrides(cfg: dict, args) -> dict:
     """CLI flags override the scene document."""
     lam = getattr(args, "wavelength", None)
     deg = getattr(args, "incident_deg", None)
-    if lam is not None or deg is not None:
-        try:
+    try:
+        if deg is not None:
             cfg["wave"] = WaveContext.from_degrees(
-                cfg["wave"].wavelength if lam is None else lam,
-                float(cfg["raw"]["incident_direction_degrees"]) if deg is None else deg)
-        except ValueError as exc:
-            raise ConfigError(f"bad --wavelength/--incident-deg: {exc}") from exc
+                cfg["wave"].wavelength if lam is None else lam, deg)
+        elif lam is not None:
+            cfg["wave"] = WaveContext(lam, cfg["wave"].incident_direction)
+    except ValueError as exc:
+        raise ConfigError(f"bad --wavelength/--incident-deg: {exc}") from exc
     if getattr(args, "num_dirs", None) is not None:
         cfg["observations"] = make_observation_set(args.num_dirs)
     return cfg
@@ -117,12 +109,6 @@ def _load_scene_or_fail(path_str: str, args) -> dict:
         raise ConfigError(str(exc)) from exc
 
 
-def _report_validation(scene, wave) -> None:
-    report = validate_scene(scene, wave)
-    for entry in report.entries:
-        print(f"[warning] {entry.message}", file=sys.stderr)
-
-
 def _noise_spec(args) -> NoiseSpec:
     snr = args.snr_db if args.snr_db is not None else math.inf
     return NoiseSpec(snr_db=snr, seed=args.seed)
@@ -133,25 +119,49 @@ def _peak_entries(peaks) -> list:
              "value": p.value} for p in peaks]
 
 
-def _predicted_entries(predictions) -> list:
-    out = []
-    for pred in predictions:
-        for pos in pred.positions:
-            out.append({"inclusion": pred.inclusion_index,
-                        "x": float(pos[0]), "y": float(pos[1])})
-    return out
+def _prediction_document(predictions) -> dict:
+    return {"predicted": [{"inclusion": pred.inclusion_index,
+                           "x": float(pos[0]), "y": float(pos[1])}
+                          for pred in predictions for pos in pred.positions],
+            "offset_radius": predictions[0].offset_radius}
 
 
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
-def _write_prediction(analytic_map, predictions, paths: dict) -> None:
-    export_map(analytic_map, paths["analytic_map.csv"], "csv")
-    export_map(analytic_map, paths["analytic_map.pgm"], "pgm")
-    _write_json(paths["predicted_peaks.json"],
-                {"predicted": _predicted_entries(predictions),
-                 "offset_radius": predictions[0].offset_radius})
+def _write_outputs(args, outputs: dict, *, far_field=None,
+                   warnings=()) -> Path:
+    """Write a subcommand's computed results: the only step that touches disk.
+
+    Refuses to overwrite without ``--force``, prints ``warnings`` (scene
+    validation entries), creates ``--out`` and writes each entry of
+    ``outputs``: a map in the format its suffix names, or a JSON document.
+    ``far_field`` is a ``(data, scene, wave, noise)`` tuple written as
+    ``farfield.csv`` plus its ``farfield.json`` sidecar.
+    """
+    out_dir = Path(args.out)
+    names = [*(["farfield.csv", "farfield.json"] if far_field else []),
+             *outputs]
+    if not args.force:
+        clashes = [str(out_dir / name) for name in names
+                   if (out_dir / name).exists()]
+        if clashes:
+            raise ConfigError("refusing to overwrite existing outputs "
+                              f"({', '.join(clashes)}); pass --force to allow")
+    for entry in warnings:
+        print(f"[warning] {entry.message}", file=sys.stderr)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if far_field:
+        data, scene, wave, noise = far_field
+        write_far_field(data, out_dir / "farfield.csv", scene=scene,
+                        wave=wave, noise=noise)
+    for name, item in outputs.items():
+        if isinstance(item, IndicatorMap):
+            export_map(item, out_dir / name, Path(name).suffix[1:])
+        else:
+            _write_json(out_dir / name, item)
+    return out_dir
 
 
 # ---------------------------------------------------------------------------
@@ -163,31 +173,31 @@ def cmd_synthesize(args) -> int:
     scene, wave, obs = cfg["scene"], cfg["wave"], cfg["observations"]
     spec = _noise_spec(args)
     data = add_noise(synthesize_far_field(scene, wave, obs), spec)
-    paths = _prepare_outputs(args.out, ["farfield.csv", "farfield.json"],
-                             args.force)
-    _report_validation(scene, wave)
-    write_far_field(data, paths["farfield.csv"], scene=scene, wave=wave,
-                    noise=spec)
-    print(f"wrote {paths['farfield.csv']} ({obs.count} samples)")
+    out_dir = _write_outputs(args, {}, far_field=(data, scene, wave, spec),
+                             warnings=validate_scene(scene, wave).entries)
+    print(f"wrote {out_dir / 'farfield.csv'} ({obs.count} samples)")
     return 0
 
 
-def _image_pipeline(data, wavenumber, scene, wave, grid, args, paths):
-    """Shared by image/example: maps, peaks, optional residual."""
+def _image_pipeline(data, wavenumber, scene, wave, grid, args):
+    """Shared by image/example: maps, peaks document, optional prediction.
+
+    Without a scene the analytic map and prediction are ``None``, and so
+    are the ``predicted`` and ``residual`` entries of the peaks document.
+    """
     data_map = compute_map(data, grid, wavenumber=wavenumber,
                            threads=args.threads)
-    export_map(data_map, paths["map.csv"], "csv")
-    export_map(data_map, paths["map.pgm"], "pgm")
     peaks = extract_peaks(data_map, args.min_peak_value,
                           args.min_peak_separation)
-    residual = None
-    predictions = None
-    analytic_map = None
+    analytic_map = prediction = residual = None
     if scene is not None and wave is not None:
         analytic_map = compute_map((scene, wave), grid, threads=args.threads)
         residual = float(np.max(np.abs(data_map.values - analytic_map.values)))
-        predictions = predicted_peaks(scene, wave)
-    return data_map, analytic_map, peaks, predictions, residual
+        prediction = _prediction_document(predicted_peaks(scene, wave))
+    peaks_doc = {"peaks": _peak_entries(peaks),
+                 "predicted": prediction["predicted"] if prediction else None,
+                 "residual": residual}
+    return data_map, analytic_map, peaks_doc, prediction
 
 
 def cmd_image(args) -> int:
@@ -217,31 +227,27 @@ def cmd_image(args) -> int:
             raise ConfigError(f"sidecar of {data_path}: {exc}") from exc
         scene, wave = cfg["scene"], cfg["wave"]
 
-    paths = _prepare_outputs(args.out, ["map.csv", "map.pgm", "peaks.json"],
-                             args.force)
-    _, _, peaks, predictions, residual = _image_pipeline(
-        data, wavenumber, scene, wave, grid, args, paths)
-    report = {"peaks": _peak_entries(peaks),
-              "predicted": (_predicted_entries(predictions)
-                            if predictions is not None else None),
-              "residual": residual}
-    _write_json(paths["peaks.json"], report)
-    print(f"wrote {paths['map.csv']}, {paths['map.pgm']}, "
-          f"{paths['peaks.json']} ({len(peaks)} peaks)")
+    data_map, _, peaks_doc, _ = _image_pipeline(data, wavenumber, scene, wave,
+                                                grid, args)
+    out_dir = _write_outputs(args, {"map.csv": data_map, "map.pgm": data_map,
+                                    "peaks.json": peaks_doc})
+    print(f"wrote {out_dir / 'map.csv'}, {out_dir / 'map.pgm'}, "
+          f"{out_dir / 'peaks.json'} ({len(peaks_doc['peaks'])} peaks)")
     return 0
 
 
 def cmd_predict(args) -> int:
     cfg = _load_scene_or_fail(args.scene, args)
     grid = _parse_grid(args.grid)
-    paths = _prepare_outputs(args.out, ["analytic_map.csv", "analytic_map.pgm",
-                                        "predicted_peaks.json"], args.force)
     scene, wave = cfg["scene"], cfg["wave"]
-    _report_validation(scene, wave)
     analytic_map = compute_map((scene, wave), grid, threads=args.threads)
-    _write_prediction(analytic_map, predicted_peaks(scene, wave), paths)
-    print(f"wrote {paths['analytic_map.csv']}, {paths['analytic_map.pgm']}, "
-          f"{paths['predicted_peaks.json']}")
+    out_dir = _write_outputs(
+        args, {"analytic_map.csv": analytic_map, "analytic_map.pgm": analytic_map,
+               "predicted_peaks.json": _prediction_document(
+                   predicted_peaks(scene, wave))},
+        warnings=validate_scene(scene, wave).entries)
+    print(f"wrote {out_dir / 'analytic_map.csv'}, "
+          f"{out_dir / 'analytic_map.pgm'}, {out_dir / 'predicted_peaks.json'}")
     return 0
 
 
@@ -253,42 +259,30 @@ def cmd_example(args) -> int:
     grid = _parse_grid(args.grid)
     spec = _noise_spec(args)
     data = add_noise(synthesize_far_field(scene, wave, obs), spec)
-    out_dir = Path(args.out)
-    names = ["scene.json", "farfield.csv", "farfield.json",
-             "map.csv", "map.pgm", "peaks.json",
-             "analytic_map.csv", "analytic_map.pgm", "predicted_peaks.json",
-             "report.json"]
-    paths = _prepare_outputs(args.out, names, args.force)
-    _report_validation(scene, wave)
-
-    _write_json(paths["scene.json"], scene_config_document(scene, wave, obs))
-    write_far_field(data, paths["farfield.csv"], scene=scene, wave=wave,
-                    noise=spec)
-
-    data_map, analytic_map, peaks, predictions, residual = _image_pipeline(
-        data, wave.wavenumber, scene, wave, grid, args, paths)
-    _write_json(paths["peaks.json"], {"peaks": _peak_entries(peaks),
-                                      "predicted": _predicted_entries(predictions),
-                                      "residual": residual})
-
-    _write_prediction(analytic_map, predictions, paths)
-
+    data_map, analytic_map, peaks_doc, prediction = _image_pipeline(
+        data, wave.wavenumber, scene, wave, grid, args)
     report = {
         "example": which,
         "num_observation_directions": obs.count,
         "noise": {"snr_db": ("inf" if spec.snr_db == math.inf else spec.snr_db),
                   "seed": spec.seed},
         "grid": [grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.step],
-        "residual": residual,
+        "residual": peaks_doc["residual"],
         "contrast_factors": [
             contrast_factor(inc.permeability, scene.background_permeability)
             for inc in scene.inclusions],
-        "peaks": _peak_entries(peaks),
-        "predicted": _predicted_entries(predictions),
+        "peaks": peaks_doc["peaks"],
+        "predicted": peaks_doc["predicted"],
     }
-    _write_json(paths["report.json"], report)
-    print(f"{which}: residual {residual:.3e}, {len(peaks)} peaks; "
-          f"outputs in {out_dir}")
+    out_dir = _write_outputs(
+        args, {"scene.json": scene_config_document(scene, wave, obs),
+               "map.csv": data_map, "map.pgm": data_map, "peaks.json": peaks_doc,
+               "analytic_map.csv": analytic_map, "analytic_map.pgm": analytic_map,
+               "predicted_peaks.json": prediction, "report.json": report},
+        far_field=(data, scene, wave, spec),
+        warnings=validate_scene(scene, wave).entries)
+    print(f"{which}: residual {peaks_doc['residual']:.3e}, "
+          f"{len(peaks_doc['peaks'])} peaks; outputs in {out_dir}")
     return 0
 
 

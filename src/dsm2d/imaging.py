@@ -25,6 +25,7 @@ from .specfun import bessel_j1
 
 GRID_EPS = 1e-9  # guards node counting against FP drift in (max-min)/step
 BAND_ROWS = 16  # map rows per work unit: vectorized, temporaries stay small
+MAX_GRID_NODES = 10 ** 8  # 25x a 2001 x 2001 grid; a map of it is 800 MB
 
 # Tables for exact %.17g, built from bytes so byte order does not matter:
 # "0." to "0.000" plus a leading digit; 4-digit groups, full and zero-stripped.
@@ -54,6 +55,10 @@ class SearchGrid:
             raise ValueError("grid bounds must be finite with min < max on both axes")
         if not (0 < self.step < math.inf):
             raise ValueError("grid step must be positive and finite")
+        # the float test first: int() of an infinite node count raises
+        longest = max(self.x_max - self.x_min, self.y_max - self.y_min)
+        if longest / self.step > MAX_GRID_NODES or self.nx * self.ny > MAX_GRID_NODES:
+            raise ValueError(f"grid must have at most {MAX_GRID_NODES:,} nodes")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
 

@@ -181,8 +181,8 @@ def validate_scene(scene: Scene, wave: WaveContext) -> ValidationReport:
 
 
 def scene_from_document(doc: dict) -> dict:
-    """Build ``scene``, ``wave``, ``observations`` (and ``raw``) from a document
-    in the :func:`scene_config_document` layout; ``ValueError`` on bad input."""
+    """Build ``scene``, ``wave`` and ``observations`` from a document in the
+    :func:`scene_config_document` layout; ``ValueError`` on bad input."""
     try:
         inclusions = tuple(
             Inhomogeneity(center=np.asarray(item["center"], dtype=float),
@@ -198,7 +198,7 @@ def scene_from_document(doc: dict) -> dict:
         raise ValueError(f"missing key {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed document: {exc}") from exc
-    return {"scene": scene, "wave": wave, "observations": obs, "raw": doc}
+    return {"scene": scene, "wave": wave, "observations": obs}
 
 
 def load_scene_config(path) -> dict:

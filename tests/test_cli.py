@@ -63,12 +63,25 @@ def test_synthesize_deterministic_with_noise(tmp_path, scene_file):
     assert _read_bytes(out1, names) == _read_bytes(out2, names)
 
 
-def test_overwrite_needs_force(tmp_path, scene_file):
+def test_overwrite_needs_force(tmp_path, capsys):
+    # radius 0.3 exceeds half the wavelength, so every run has a warning
+    doc = _scene_doc()
+    doc["inclusions"][0]["radius"] = 0.3
+    scene_file = tmp_path / "scene.json"
+    scene_file.write_text(json.dumps(doc))
     out = tmp_path / "out"
     args = ["synthesize", "--scene", str(scene_file), "--out", str(out)]
     assert main(args) == 0
-    assert main(args) == 2
-    assert main(args + ["--force"]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    before = _read_bytes(out, names)
+    capsys.readouterr()
+    # noisy data would change farfield.csv if the refused run wrote it
+    assert main(args + ["--snr-db", "20"]) == 2
+    assert "refusing to overwrite" in _one_error_line(capsys)
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert _read_bytes(out, names) == before
+    assert main(args + ["--snr-db", "20", "--force"]) == 0
+    assert _read_bytes(out, names) != before
 
 
 def test_bad_grid_spec_exits_2(tmp_path, scene_file):
@@ -103,9 +116,17 @@ def test_image_all_zero_data_exits_1(tmp_path):
                           samples=np.zeros(64, dtype=complex))
     write_far_field(silent, tmp_path / "farfield.csv",
                     wave=WaveContext.from_degrees(0.4, 45.0))
-    code = main(["image", "--data", str(tmp_path / "farfield.csv"),
-                 "--out", str(tmp_path / "img"), *COARSE])
-    assert code == 1
+    for existing in (False, True):
+        out = tmp_path / f"img-{existing}"
+        if existing:
+            out.mkdir()
+        code = main(["image", "--data", str(tmp_path / "farfield.csv"),
+                     "--out", str(out), *COARSE])
+        assert code == 1
+        if existing:
+            assert list(out.iterdir()) == []
+        else:
+            assert not out.exists()
 
 
 def test_image_without_wavelength_exits_2(tmp_path, scene_file):
@@ -204,10 +225,15 @@ def test_predict_nan_incident_exits_2_without_outputs(tmp_path, scene_file,
 def test_infinite_grid_bound_exits_2_without_outputs(tmp_path, scene_file,
                                                      capsys):
     out = tmp_path / "p"
-    assert main(["predict", "--scene", str(scene_file),
-                 "--grid=-1,inf,-1,1,0.1", "--out", str(out)]) == 2
-    assert "finite" in _one_error_line(capsys)
-    assert not out.exists()
+    # node counts that overflow a double, or that no map could hold
+    for spec, message in (("-1,inf,-1,1,0.1", "finite"),
+                          ("-1,1,-1,1,1e-320", "nodes"),
+                          ("-1e308,1e308,-1,1,0.5", "nodes"),
+                          ("-1,1,-1,1,1e-6", "nodes")):
+        assert main(["predict", "--scene", str(scene_file),
+                     f"--grid={spec}", "--out", str(out)]) == 2
+        assert message in _one_error_line(capsys)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "1.5", "x"])

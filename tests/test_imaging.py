@@ -13,9 +13,9 @@ from hypothesis.extra.numpy import arrays
 import dsm2d
 from dsm2d.cli import example_scene
 from dsm2d.forward import FarFieldData, contrast_factor, synthesize_far_field
-from dsm2d.imaging import (BAND_ROWS, IndicatorMap, Peak, SearchGrid,
-                           _analytic_band_values, _value_words, compute_map,
-                           export_map, extract_peaks, read_map_csv)
+from dsm2d.imaging import (BAND_ROWS, MAX_GRID_NODES, IndicatorMap, Peak,
+                           SearchGrid, _analytic_band_values, _value_words,
+                           compute_map, export_map, extract_peaks, read_map_csv)
 from dsm2d.indicator import (closed_form_magnitude, dsm_indicator_raw,
                              predicted_peaks)
 from dsm2d.model import Inhomogeneity, Scene, make_observation_set
@@ -41,6 +41,13 @@ def test_grid_validation():
                 (-1.0, 1.0, -1.0, 1.0, np.nan)):
         with pytest.raises(ValueError, match="finite"):
             SearchGrid(*bad)
+    # rejected before any int() of a count or any allocation
+    for big in ((-1.0, 1.0, -1.0, 1.0, 1e-320), (-1e308, 1e308, -1.0, 1.0, 0.5),
+                (-1.0, 1.0, -1.0, 1.0, 1e-6), (0.0, 1e4, 0.0, 1e4, 1.0)):
+        with pytest.raises(ValueError, match="nodes"):
+            SearchGrid(*big)
+    at_cap = SearchGrid(0.0, 9999.0, 0.0, 9999.0, 1.0)
+    assert at_cap.nx * at_cap.ny == MAX_GRID_NODES
 
 
 def test_indicator_map_shape_contract():
