@@ -9,30 +9,25 @@ peak pair straddling its true center rather than a single spot.
 """
 
 from .forward import (FarFieldData, NoiseSpec, add_noise, contrast_factor,
-                      far_field_asymptotic, read_far_field,
-                      synthesize_far_field, write_far_field)
+                      read_far_field, synthesize_far_field, write_far_field)
 from .imaging import (IndicatorMap, Peak, SearchGrid, compute_map, export_map,
                       extract_peaks)
 from .indicator import (PeakPrediction, closed_form_magnitude,
-                        dsm_indicator_raw, inner_product, predicted_peaks,
-                        test_vector)
+                        dsm_indicator_raw, predicted_peaks)
 from .model import (Inhomogeneity, ObservationSet, Scene, ValidationReport,
                     WaveContext, load_scene_config, make_observation_set,
                     validate_scene, wavenumber_from_wavelength)
-from .specfun import (J1_FIRST_MAX, bessel_j0_oracle, bessel_j1,
-                      bessel_j1_oracle, bessel_j_oracle)
+from .specfun import J1_FIRST_MAX, bessel_j1
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FarFieldData", "IndicatorMap", "Inhomogeneity", "J1_FIRST_MAX",
     "NoiseSpec", "ObservationSet", "Peak", "PeakPrediction", "Scene",
-    "SearchGrid", "ValidationReport", "WaveContext", "add_noise",
-    "bessel_j0_oracle", "bessel_j1", "bessel_j1_oracle", "bessel_j_oracle",
+    "SearchGrid", "ValidationReport", "WaveContext", "add_noise", "bessel_j1",
     "closed_form_magnitude", "compute_map", "contrast_factor",
-    "dsm_indicator_raw", "export_map", "extract_peaks",
-    "far_field_asymptotic", "inner_product", "load_scene_config",
-    "make_observation_set", "predicted_peaks",
-    "read_far_field", "synthesize_far_field", "test_vector",
-    "validate_scene", "wavenumber_from_wavelength", "write_far_field",
+    "dsm_indicator_raw", "export_map", "extract_peaks", "load_scene_config",
+    "make_observation_set", "predicted_peaks", "read_far_field",
+    "synthesize_far_field", "validate_scene", "wavenumber_from_wavelength",
+    "write_far_field",
 ]

@@ -13,7 +13,6 @@ arithmetic, streamed per band) and PGM (P5, 16-bit big-endian, top = y_max).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,6 +175,7 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     starts = range(0, grid.ny, BAND_ROWS)
     values = np.empty((grid.ny, grid.nx))
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # ~6 ms to import
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for iy, res in zip(starts, pool.map(unit, starts)):
                 values[iy:iy + BAND_ROWS] = res
@@ -311,14 +311,3 @@ def export_map(indicator_map: IndicatorMap, path, fmt: str) -> None:
     except OSError as exc:
         raise OSError(f"failed writing map {fmt.upper()} to {path}: {exc}") from exc
 
-
-def read_map_csv(path) -> np.ndarray:
-    """Reload an exported CSV map as an (n_nodes, 3) array of x, y, value."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        has_nodes = bool(fh.readline().strip())
-    if header != "x,y,value":
-        raise ValueError(f"{path}: expected header 'x,y,value'")
-    if not has_nodes:
-        raise ValueError(f"{path}: no nodes after the header")
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

@@ -103,8 +103,6 @@ def closed_form_magnitude(scene: Scene, wave: WaveContext, point) -> float:
 
 def predicted_peaks(scene: Scene, wave: WaveContext) -> list:
     """Closed-form peak pair x_m -/+ (1.8412/k)*d for every inclusion."""
-    if not (wave.wavenumber > 0):
-        raise ValueError("wavenumber must be positive")
     rho = J1_FIRST_MAX / wave.wavenumber
     d = wave.incident_direction
     out = []

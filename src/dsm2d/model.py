@@ -45,8 +45,10 @@ class Inhomogeneity:
         object.__setattr__(self, "center", _readonly(self.center))
         if self.center.shape != (2,) or not np.all(np.isfinite(self.center)):
             raise ValueError("center must be a finite 2D point")
-        if not (self.radius > 0):
-            raise ValueError("radius must be positive")
+        # an r^2 of inf or 0 would give non-finite or all-zero data
+        if not (self.radius > 0 and 0.0 < self.radius * self.radius < math.inf):
+            raise ValueError(f"radius must be positive with a finite, nonzero "
+                             f"square, got {self.radius!r}")
         if not (self.permeability > 0):
             raise ValueError("permeability must be positive")
 
@@ -69,6 +71,9 @@ class Scene:
         if len(self.inclusions) < 1:
             raise ValueError("scene needs at least one inclusion")
         for m, a in enumerate(self.inclusions):
+            if not math.isfinite(a.permeability + self.background_permeability):
+                raise ValueError(f"inclusion {m}: permeability plus background "
+                                 "permeability must be finite")
             for b in self.inclusions[m + 1:]:
                 if np.array_equal(a.center, b.center):
                     raise ValueError(
@@ -89,15 +94,13 @@ class WaveContext:
     wavenumber: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
-            raise ValueError("wavelength must be positive and finite")
+        object.__setattr__(self, "wavenumber", wavenumber_from_wavelength(self.wavelength))
         d = _readonly(self.incident_direction)
         object.__setattr__(self, "incident_direction", d)
         if d.shape != (2,) or not np.all(np.isfinite(d)):
             raise ValueError("incident direction must be a finite 2D vector")
         if abs(float(np.hypot(d[0], d[1])) - 1.0) > UNIT_TOL:
             raise ValueError("incident direction must be a unit vector")
-        object.__setattr__(self, "wavenumber", wavenumber_from_wavelength(self.wavelength))
 
     @classmethod
     def from_degrees(cls, wavelength: float, angle_deg: float) -> "WaveContext":
@@ -125,7 +128,7 @@ def make_observation_set(count: int) -> ObservationSet:
     The angle is reduced mod N before the trig call, so the n = N entry is
     exactly (1, 0) and the set is exactly invariant under n -> n + N.
     """
-    if not isinstance(count, (int, np.integer)) or count < 1:
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"direction count must be a positive integer, got {count!r}")
     n = np.arange(1, count + 1) % count
     ang = 2.0 * np.pi * n / count

@@ -34,7 +34,7 @@ worst case is ~2e-14, at the Hankel handover).
 
 from __future__ import annotations
 
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -88,14 +88,15 @@ def _taylor_coeffs_j1(a: Decimal, j0a: Decimal, j1a: Decimal, count: int):
 
 
 def _build_taylor_tables():
-    getcontext().prec = 50
     # Row j holds the t^j coefficient at every anchor (one column each).
     table = np.empty((_TAYLOR_TERMS, len(_ANCHOR_HALF_STEPS)))
-    for col, half_steps in enumerate(_ANCHOR_HALF_STEPS):
-        a = Decimal(int(half_steps)) / 2
-        j0a = _decimal_maclaurin(0, a)
-        j1a = _decimal_maclaurin(1, a)
-        table[:, col] = [float(v) for v in _taylor_coeffs_j1(a, j0a, j1a, _TAYLOR_TERMS)]
+    with localcontext() as ctx:  # the caller's decimal context is untouched
+        ctx.prec = 50
+        for col, half_steps in enumerate(_ANCHOR_HALF_STEPS):
+            a = Decimal(int(half_steps)) / 2
+            j0a = _decimal_maclaurin(0, a)
+            j1a = _decimal_maclaurin(1, a)
+            table[:, col] = [float(v) for v in _taylor_coeffs_j1(a, j0a, j1a, _TAYLOR_TERMS)]
     return table
 
 
@@ -209,12 +210,3 @@ def bessel_j_oracle(order: int, x: float, panels: int = 4096) -> float:
     weights[0] = weights[-1] = 0.5
     return float(np.dot(weights, f) * (np.pi / panels) / np.pi)
 
-
-def bessel_j1_oracle(x: float, panels: int = 4096) -> float:
-    """Quadrature oracle for J1; see :func:`bessel_j_oracle`."""
-    return bessel_j_oracle(1, x, panels)
-
-
-def bessel_j0_oracle(x: float, panels: int = 4096) -> float:
-    """Quadrature oracle for J0; see :func:`bessel_j_oracle`."""
-    return bessel_j_oracle(0, x, panels)

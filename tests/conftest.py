@@ -1,7 +1,14 @@
-"""Shared fixtures: demo scenes and the heavyweight default-grid maps."""
+"""Shared fixtures: demo scenes, the heavyweight default-grid maps, and a
+fresh interpreter for checks of what ``import dsm2d`` does."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dsm2d
 from dsm2d.cli import example_scene, example_wave
 from dsm2d.forward import synthesize_far_field
 from dsm2d.imaging import SearchGrid, compute_map
@@ -71,3 +78,21 @@ def ex1_analytic_map(ex1_scene, demo_wave, default_grid):
 @pytest.fixture(scope="session")
 def ex3_analytic_map(ex3_scene, demo_wave, default_grid):
     return compute_map((ex3_scene, demo_wave), default_grid)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run code in a new interpreter that imports this checkout's dsm2d.
+
+    Extra keyword arguments are set as environment variables; the call
+    returns the child's stdout and fails the test on a non-zero exit.
+    """
+    src = str(Path(dsm2d.__file__).resolve().parents[1])
+
+    def run(code: str, **env_vars) -> str:
+        env = dict(os.environ, **env_vars)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True).stdout
+
+    return run

@@ -222,6 +222,25 @@ def test_predict_nan_incident_exits_2_without_outputs(tmp_path, scene_file,
     assert not out.exists()
 
 
+def test_degenerate_inclusion_weight_exits_2_without_outputs(tmp_path, capsys):
+    # r^2 overflows or underflows; mu_m + mu_0 (the contrast denominator)
+    # is infinite or overflows. JSON's Infinity parses to inf.
+    path = tmp_path / "scene.json"
+    out = tmp_path / "out"
+    for radius, mu, mu0, message in ((1e200, 5.0, 1.0, "square"),
+                                     (1e-200, 5.0, 1.0, "square"),
+                                     (0.1, float("inf"), 1.0, "finite"),
+                                     (0.1, 1e308, 1e308, "finite")):
+        doc = _scene_doc()
+        doc["background_permeability"] = mu0
+        doc["inclusions"][0].update(radius=radius, permeability=mu)
+        path.write_text(json.dumps(doc))
+        for command in ("synthesize", "predict"):
+            assert main([command, "--scene", str(path), "--out", str(out)]) == 2
+            assert message in _one_error_line(capsys)
+            assert not out.exists()
+
+
 def test_infinite_grid_bound_exits_2_without_outputs(tmp_path, scene_file,
                                                      capsys):
     out = tmp_path / "p"

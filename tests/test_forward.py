@@ -7,11 +7,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsm2d.cli import example_scene
 from dsm2d.forward import (SNR_DB_FLOOR, FarFieldData, NoiseSpec,
                            achieved_snr_db, add_noise, contrast_factor,
-                           far_field_asymptotic, read_far_field,
-                           synthesize_far_field, write_far_field)
+                           read_far_field, synthesize_far_field,
+                           write_far_field)
 from dsm2d.model import Inhomogeneity, Scene, WaveContext, make_observation_set
+
+
+def far_field_asymptotic(scene: Scene, wave: WaveContext, theta: np.ndarray) -> complex:
+    """Pointwise oracle: the far-field amplitude at one direction ``theta``.
+
+    psi(d, theta) = -(k^2 (1+i) / (4 sqrt(k pi)))
+                    * sum_m r_m^2 * pi * factor_m * (d.theta)
+                    * exp(i k d.x_m) * exp(-i k theta.x_m)
+
+    with factor_m = 2 * contrast_factor(mu_m, mu_0) and pi the unit-disk area.
+    """
+    theta = np.asarray(theta, dtype=float)
+    k = wave.wavenumber
+    d = wave.incident_direction
+    prefactor = -(k * k) * (1.0 + 1.0j) / (4.0 * math.sqrt(k * math.pi))
+    mu0 = scene.background_permeability
+    total = 0.0 + 0.0j
+    for inc in scene.inclusions:
+        factor = 2.0 * contrast_factor(inc.permeability, mu0)
+        angular = factor * float(np.dot(d, theta))
+        phase = np.exp(1j * k * float(np.dot(d, inc.center))
+                       - 1j * k * float(np.dot(theta, inc.center)))
+        total += inc.radius ** 2 * math.pi * angular * phase
+    return complex(prefactor * total)
 
 
 def _single_scene(center, radius=0.1, mu=5.0):
@@ -46,8 +71,7 @@ _PERMEABILITY = st.floats(1e-3, 1e3)
 @settings(max_examples=500, deadline=None)
 @given(mu=_PERMEABILITY, mu0=_PERMEABILITY)
 def test_twice_contrast_factor_is_the_polarizability_bitwise(mu, mu0):
-    # Oracle: the polarizability scalar as far_field_asymptotic once wrote
-    # it. Doubling is exact, so both roundings happen in the quotient.
+    # Oracle: the polarizability scalar as the far field once wrote it. Doubling is exact, so both roundings happen in the quotient.
     assert 2.0 * contrast_factor(mu, mu0) == 2.0 * mu0 / (mu + mu0)
 
 
@@ -83,11 +107,15 @@ def test_far_field_translation_phase():
     assert moved == pytest.approx(base * expected_phase, rel=1e-12)
 
 
-def test_synthesize_matches_pointwise(ex1_scene, demo_wave):
-    obs = make_observation_set(16)
-    data = synthesize_far_field(ex1_scene, demo_wave, obs)
-    for n, theta in enumerate(obs.directions):
-        assert data.samples[n] == far_field_asymptotic(ex1_scene, demo_wave, theta)
+def test_synthesize_matches_pointwise(demo_wave):
+    # The vectorized synthesis rounds exactly as the scalar oracle does.
+    for which in ("ex1", "ex2", "ex3"):
+        scene = example_scene(which)
+        for count in (1, 16, 255, 1024):
+            obs = make_observation_set(count)
+            data = synthesize_far_field(scene, demo_wave, obs)
+            for n, theta in enumerate(obs.directions):
+                assert data.samples[n] == far_field_asymptotic(scene, demo_wave, theta)
 
 
 def test_synthesize_n4_symmetry():

@@ -1,21 +1,15 @@
 """Grid sweeps, peak extraction, and map export."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-import dsm2d
 from dsm2d.cli import example_scene
 from dsm2d.forward import FarFieldData, contrast_factor, synthesize_far_field
 from dsm2d.imaging import (BAND_ROWS, MAX_GRID_NODES, IndicatorMap, Peak,
                            SearchGrid, _analytic_band_values, _value_words,
-                           compute_map, export_map, extract_peaks, read_map_csv)
+                           compute_map, export_map, extract_peaks)
 from dsm2d.indicator import (closed_form_magnitude, dsm_indicator_raw,
                              predicted_peaks)
 from dsm2d.model import Inhomogeneity, Scene, make_observation_set
@@ -227,19 +221,16 @@ for ny in (2 * BAND_ROWS, 2 * BAND_ROWS + 1, 2 * BAND_ROWS + 2, BAND_ROWS // 2 +
 """
 
 
-def _blas_probe(blas_threads: int) -> list:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
-    src = str(Path(dsm2d.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return out.splitlines()
-
-
-def test_data_map_is_bit_invariant_under_blas_thread_count():
-    single = _blas_probe(1)
+def test_data_map_is_bit_invariant_under_blas_thread_count(fresh_python):
+    single = fresh_python(_BLAS_PROBE, OPENBLAS_NUM_THREADS="1").splitlines()
     assert [line.split()[0] for line in single] == ["32", "33", "34", "9"]
-    assert _blas_probe(2) == single
+    assert fresh_python(_BLAS_PROBE, OPENBLAS_NUM_THREADS="2").splitlines() == single
+
+
+def test_import_leaves_the_thread_pool_unloaded(fresh_python):
+    # concurrent.futures costs about 6 ms at import; only threads > 1 uses it
+    probe = "import sys, dsm2d.cli; print('concurrent.futures' in sys.modules)"
+    assert fresh_python(probe).strip() == "False"
 
 
 def test_map_rejects_missing_wavenumber(ex1_data):
@@ -430,7 +421,7 @@ def test_csv_round_trip_full_precision(tmp_path, ex1_scene, demo_wave):
     imap = compute_map((ex1_scene, demo_wave), grid)
     path = tmp_path / "map.csv"
     export_map(imap, path, "csv")
-    rows = read_map_csv(path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert rows.shape == (grid.nx * grid.ny, 3)
     reloaded = rows[:, 2].reshape(grid.ny, grid.nx)
     assert np.array_equal(reloaded, imap.values)
@@ -453,7 +444,8 @@ def test_csv_export_is_byte_identical_to_per_node_reference(tmp_path):
             for i, y in enumerate(grid.y_nodes())
             for j, x in enumerate(grid.x_nodes()))
         assert path.read_bytes() == reference.encode("ascii")
-        assert np.array_equal(read_map_csv(path)[:, 2], values.ravel())
+        reloaded = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(reloaded[:, 2], values.ravel())
 
 
 def _formatted(values):
@@ -504,7 +496,7 @@ def test_every_demo_map_reloads_bit_for_bit(tmp_path, demo_wave, default_grid,
                      compute_map((scene, demo_wave), default_grid)):
             path = tmp_path / f"{which}.csv"
             export_map(imap, path, "csv")
-            rows = read_map_csv(path)
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
             assert np.array_equal(rows[:, 2], imap.values.ravel())
             xs, ys = np.meshgrid(default_grid.x_nodes(), default_grid.y_nodes())
             assert np.array_equal(rows[:, 0], xs.ravel())
@@ -528,20 +520,6 @@ def test_export_surfaces_path_errors(ex1_analytic_map, tmp_path):
     with pytest.raises(OSError) as err:
         export_map(ex1_analytic_map, missing_dir, "csv")
     assert "map.csv" in str(err.value)
-
-
-def test_read_map_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError):
-        read_map_csv(path)
-
-
-def test_read_map_csv_rejects_header_only(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("x,y,value\n")
-    with pytest.raises(ValueError, match="no nodes"):
-        read_map_csv(path)
 
 
 def test_undersampled_data_map_still_finite(ex1_scene, demo_wave):

@@ -102,6 +102,9 @@ def test_inhomogeneity_validation():
         Inhomogeneity(center=np.array([0.0, 0.0]), radius=0.1, permeability=-2.0)
     with pytest.raises(ValueError):
         Inhomogeneity(center=np.array([np.nan, 0.0]), radius=0.1, permeability=2.0)
+    for radius in (1e200, 1e-200):  # r^2 overflows to inf or underflows to 0
+        with pytest.raises(ValueError, match="square"):
+            Inhomogeneity(center=np.array([0.0, 0.0]), radius=radius, permeability=2.0)
 
 
 def test_inhomogeneity_center_is_read_only():
@@ -172,7 +175,7 @@ def test_scene_json_round_trip(tmp_path, ex3_scene, demo_wave, obs256):
         assert orig.permeability == loaded.permeability
 
 
-@pytest.mark.parametrize("count", [2.5, 256.0, "256", 0, None])
+@pytest.mark.parametrize("count", [2.5, 256.0, "256", 0, None, True])
 def test_scene_rejects_non_integral_direction_count(tmp_path, ex1_scene,
                                                     demo_wave, obs256, count):
     doc = scene_config_document(ex1_scene, demo_wave, obs256)

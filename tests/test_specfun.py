@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dsm2d.specfun import (ASYMPTOTIC_CUTOFF, MACLAURIN_CUTOFF,
-                           bessel_j0_oracle, bessel_j1, bessel_j1_oracle,
+from dsm2d.specfun import (ASYMPTOTIC_CUTOFF, MACLAURIN_CUTOFF, bessel_j1,
                            bessel_j_oracle)
 
 # J1(1.8412) frozen from bessel_j_oracle(1, 1.8412, 1 << 16); the argument
@@ -45,34 +44,34 @@ def test_vectorized_matches_scalar():
 # ---------------------------------------------------------------------------
 
 def test_oracle_at_zero():
-    assert abs(bessel_j1_oracle(0.0, panels=64)) < 1e-12
-    assert bessel_j0_oracle(0.0, panels=64) == pytest.approx(1.0, abs=1e-12)
+    assert abs(bessel_j_oracle(1, 0.0, panels=64)) < 1e-12
+    assert bessel_j_oracle(0, 0.0, panels=64) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_rejects_few_panels():
     with pytest.raises(ValueError):
-        bessel_j1_oracle(1.0, panels=32)
+        bessel_j_oracle(1, 1.0, panels=32)
 
 
 def test_oracle_panel_doubling_converged():
     for x in (1.8412, 9.3, 37.0):
-        a = bessel_j1_oracle(x, panels=4096)
-        b = bessel_j1_oracle(x, panels=8192)
+        a = bessel_j_oracle(1, x, panels=4096)
+        b = bessel_j_oracle(1, x, panels=8192)
         assert abs(a - b) < 1e-12
 
 
 def test_oracle_agrees_at_peak():
-    assert abs(bessel_j1(1.8412) - bessel_j1_oracle(1.8412, panels=4096)) < 1e-10
+    assert abs(bessel_j1(1.8412) - bessel_j_oracle(1, 1.8412, panels=4096)) < 1e-10
 
 
 def test_oracle_agrees_high_argument():
-    assert abs(bessel_j1(100.0) - bessel_j1_oracle(100.0, panels=65536)) < 1e-8
+    assert abs(bessel_j1(100.0) - bessel_j_oracle(1, 100.0, panels=65536)) < 1e-8
 
 
 def test_oracle_agreement_random_sample():
     rng = np.random.default_rng(20240817)
     xs = rng.uniform(-200.0, 200.0, size=1000)
-    worst = max(abs(bessel_j1(float(x)) - bessel_j1_oracle(float(x), 1 << 16))
+    worst = max(abs(bessel_j1(float(x)) - bessel_j_oracle(1, float(x), 1 << 16))
                 for x in xs)
     assert worst < 1e-9
 
@@ -85,7 +84,7 @@ def test_recurrence_residual():
     xs = np.logspace(math.log10(0.1), math.log10(500.0), 40)
     for x in xs:
         j2 = bessel_j_oracle(2, float(x), 1 << 15)
-        j0 = bessel_j0_oracle(float(x), 1 << 15)
+        j0 = bessel_j_oracle(0, float(x), 1 << 15)
         residual = j0 + j2 - (2.0 / x) * bessel_j1(float(x))
         assert abs(residual) < 1e-9
 
@@ -93,8 +92,15 @@ def test_recurrence_residual():
 def test_derivative_identity():
     h = 1e-5
     for x in (0.5, 1.8412, 3.0, 12.0, 14.49, 14.51, 25.0, 130.0):
-        j0_prime = (bessel_j0_oracle(x + h) - bessel_j0_oracle(x - h)) / (2.0 * h)
+        j0_prime = (bessel_j_oracle(0, x + h) - bessel_j_oracle(0, x - h)) / (2.0 * h)
         assert abs(j0_prime + bessel_j1(x)) < 1e-8
+
+
+def test_import_keeps_the_callers_decimal_precision(fresh_python):
+    # The 50-digit Taylor tables are built in a local decimal context.
+    probe = ("import decimal; decimal.getcontext().prec = 7; import dsm2d; "
+             "print(decimal.getcontext().prec)")
+    assert fresh_python(probe).strip() == "7"
 
 
 def test_global_bounds():
@@ -118,17 +124,18 @@ def test_taylor_zone_matches_row_gather_horner_bitwise():
 
 def _taylor_reference(ax, terms=26):
     # Horner over 26-term tables, built the way specfun builds its own.
-    from decimal import Decimal, getcontext
+    from decimal import Decimal, localcontext
 
     from dsm2d.specfun import (_ANCHOR_HALF_STEPS, _ANCHORS,
                                _decimal_maclaurin, _taylor_coeffs_j1)
 
-    getcontext().prec = 50
     table = np.empty((terms, len(_ANCHORS)))
-    for col, half_steps in enumerate(_ANCHOR_HALF_STEPS):
-        a = Decimal(int(half_steps)) / 2
-        j0a, j1a = _decimal_maclaurin(0, a), _decimal_maclaurin(1, a)
-        table[:, col] = [float(v) for v in _taylor_coeffs_j1(a, j0a, j1a, terms)]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for col, half_steps in enumerate(_ANCHOR_HALF_STEPS):
+            a = Decimal(int(half_steps)) / 2
+            j0a, j1a = _decimal_maclaurin(0, a), _decimal_maclaurin(1, a)
+            table[:, col] = [float(v) for v in _taylor_coeffs_j1(a, j0a, j1a, terms)]
     idx = np.clip(np.rint(2.0 * ax).astype(int) - _ANCHOR_HALF_STEPS[0],
                   0, len(_ANCHORS) - 1)
     t = ax - _ANCHORS[idx]
