@@ -71,7 +71,8 @@ _PERMEABILITY = st.floats(1e-3, 1e3)
 @settings(max_examples=500, deadline=None)
 @given(mu=_PERMEABILITY, mu0=_PERMEABILITY)
 def test_twice_contrast_factor_is_the_polarizability_bitwise(mu, mu0):
-    # Oracle: the polarizability scalar as the far field once wrote it. Doubling is exact, so both roundings happen in the quotient.
+    # Oracle: the polarizability scalar as far_field_asymptotic writes it.
+    # Doubling is exact, so both roundings happen in the quotient.
     assert 2.0 * contrast_factor(mu, mu0) == 2.0 * mu0 / (mu + mu0)
 
 
