@@ -8,15 +8,16 @@ first-order Bessel function J1, which is why each scatterer shows up as a
 peak pair straddling its true center rather than a single spot.
 """
 
-from .forward import (FarFieldData, NoiseSpec, add_noise, contrast_factor,
-                      read_far_field, synthesize_far_field, write_far_field)
+from .forward import (FarFieldData, NoiseSpec, add_noise, read_far_field,
+                      synthesize_far_field, write_far_field)
 from .imaging import (IndicatorMap, Peak, SearchGrid, compute_map, export_map,
                       extract_peaks)
 from .indicator import (PeakPrediction, closed_form_magnitude,
                         dsm_indicator_raw, predicted_peaks)
 from .model import (Inhomogeneity, ObservationSet, Scene, ValidationReport,
-                    WaveContext, load_scene_config, make_observation_set,
-                    validate_scene, wavenumber_from_wavelength)
+                    WaveContext, contrast_factor, load_scene_config,
+                    make_observation_set, validate_scene,
+                    wavenumber_from_wavelength)
 from .specfun import J1_FIRST_MAX, bessel_j1
 
 __version__ = "0.1.0"

@@ -7,12 +7,13 @@ Subcommands
     predict      scene JSON -> closed-form map (CSV + PGM) + predicted peaks
     example      run one of the three shipped single-wave demos end to end
 
-Exit codes: 0 on success, 1 when the computation is degenerate (for
-example all-zero data), 2 for configuration or I/O problems. Every
-subcommand computes all its results before ``_write_outputs`` creates the
-output directory, so a run that fails writes nothing. Outputs are never
-overwritten unless ``--force`` is given, and every command is
-deterministic for a fixed configuration and seed.
+Each subcommand is a generator whose two ``yield``s end its read phase
+and its compute phase; the rest writes. ``main`` alone maps an exception
+to an exit code: ``ValueError`` or ``OSError`` while reading exits 2, a
+``ValueError`` while computing exits 1 (degenerate), and an ``OSError``
+while writing exits 2 (an output that exists without ``--force`` is a
+``FileExistsError``). A run that fails before writing creates nothing.
+Every command is deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import (SNR_DB_FLOOR, NoiseSpec, add_noise, contrast_factor,
-                      read_far_field, synthesize_far_field, write_far_field)
-from .imaging import (IndicatorMap, SearchGrid, compute_map, export_map,
-                      extract_peaks)
+from .forward import (SNR_DB_FLOOR, NoiseSpec, add_noise, read_far_field,
+                      synthesize_far_field, write_far_field)
+from .imaging import (MAX_GRID_NODES, IndicatorMap, SearchGrid, compute_map,
+                      export_map, extract_peaks)
 from .indicator import predicted_peaks
-from .model import (Scene, Inhomogeneity, WaveContext, load_scene_config,
-                    make_observation_set, scene_config_document,
+from .model import (MAX_DIRECTIONS, Scene, Inhomogeneity, WaveContext,
+                    contrast_factor, make_observation_set, scene_config_document,
                     scene_from_document, validate_scene,
                     wavenumber_from_wavelength)
 
@@ -53,9 +54,9 @@ EXAMPLE_PERMEABILITIES = {
     "ex3": (10.0, 6.0, 2.0),
 }
 
-
-class ConfigError(Exception):
-    """Bad configuration or I/O problem; maps to exit code 2."""
+# Flag (argparse dest) -> the scene-document key it overrides.
+_SCENE_FLAGS = {"wavelength": "wavelength", "num_dirs": "num_observation_directions",
+                "incident_deg": "incident_direction_degrees"}
 
 
 def example_scene(which: str) -> Scene:
@@ -72,41 +73,38 @@ def example_wave() -> WaveContext:
 
 
 def _parse_grid(spec: str) -> SearchGrid:
-    parts = spec.split(",")
-    if len(parts) != 5:
-        raise ConfigError(f"--grid expects 'x0,x1,y0,y1,step', got {spec!r}")
     try:
-        x0, x1, y0, y1, step = (float(p) for p in parts)
+        x0, x1, y0, y1, step = (float(p) for p in spec.split(","))
         return SearchGrid(x_min=x0, x_max=x1, y_min=y0, y_max=y1, step=step)
     except ValueError as exc:
-        raise ConfigError(f"bad --grid {spec!r}: {exc}") from exc
+        raise ValueError(f"bad --grid {spec!r} (want 'x0,x1,y0,y1,step'): "
+                         f"{exc}") from exc
 
 
-def _apply_overrides(cfg: dict, args) -> dict:
-    """CLI flags override the scene document."""
-    lam = getattr(args, "wavelength", None)
-    deg = getattr(args, "incident_deg", None)
+def _data_map_grid(spec: str, count: int) -> SearchGrid:
+    """``_parse_grid`` for a data map over ``count`` directions, whose
+    N x nx and ny x N phase matrices must fit under ``MAX_GRID_NODES``."""
+    grid = _parse_grid(spec)
+    if count * (grid.nx + grid.ny) > MAX_GRID_NODES:
+        raise ValueError(f"--grid {spec!r} with {count} directions: the data "
+                         f"map needs N*(nx + ny) <= {MAX_GRID_NODES:,}")
+    return grid
+
+
+def _scene_config(args, path, doc=None) -> dict:
+    """Parse a scene document, the JSON file at ``path`` unless ``doc`` is
+    given, after writing the wave flags into it. Scene files and sidecar
+    scenes take this one path to ``scene_from_document``."""
     try:
-        if deg is not None:
-            cfg["wave"] = WaveContext.from_degrees(
-                cfg["wave"].wavelength if lam is None else lam, deg)
-        elif lam is not None:
-            cfg["wave"] = WaveContext(lam, cfg["wave"].incident_direction)
-    except ValueError as exc:
-        raise ConfigError(f"bad --wavelength/--incident-deg: {exc}") from exc
-    if getattr(args, "num_dirs", None) is not None:
-        cfg["observations"] = make_observation_set(args.num_dirs)
-    return cfg
-
-
-def _load_scene_or_fail(path_str: str, args) -> dict:
-    path = Path(path_str)
-    if not path.is_file():
-        raise ConfigError(f"scene file not found: {path}")
-    try:
-        return _apply_overrides(load_scene_config(path), args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        if doc is None:
+            doc = json.loads(Path(path).read_text())
+        if isinstance(doc, dict):
+            doc = {**doc, **{key: getattr(args, flag)
+                             for flag, key in _SCENE_FLAGS.items()
+                             if getattr(args, flag, None) is not None}}
+        return scene_from_document(doc)
+    except ValueError as exc:  # also invalid JSON and undecodable bytes
+        raise ValueError(f"scene in {path}: {exc}") from exc
 
 
 def _noise_spec(args) -> NoiseSpec:
@@ -147,8 +145,8 @@ def _write_outputs(args, outputs: dict, *, far_field=None,
         clashes = [str(out_dir / name) for name in names
                    if (out_dir / name).exists()]
         if clashes:
-            raise ConfigError("refusing to overwrite existing outputs "
-                              f"({', '.join(clashes)}); pass --force to allow")
+            raise FileExistsError("refusing to overwrite existing outputs "
+                                  f"({', '.join(clashes)}); pass --force to allow")
     for entry in warnings:
         print(f"[warning] {entry.message}", file=sys.stderr)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -165,18 +163,20 @@ def _write_outputs(args, outputs: dict, *, far_field=None,
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: generators that yield once after reading, once after computing
 # ---------------------------------------------------------------------------
 
-def cmd_synthesize(args) -> int:
-    cfg = _load_scene_or_fail(args.scene, args)
+def cmd_synthesize(args):
+    cfg = _scene_config(args, args.scene)
     scene, wave, obs = cfg["scene"], cfg["wave"], cfg["observations"]
     spec = _noise_spec(args)
+    yield
     data = add_noise(synthesize_far_field(scene, wave, obs), spec)
+    warnings = validate_scene(scene, wave).entries
+    yield
     out_dir = _write_outputs(args, {}, far_field=(data, scene, wave, spec),
-                             warnings=validate_scene(scene, wave).entries)
+                             warnings=warnings)
     print(f"wrote {out_dir / 'farfield.csv'} ({obs.count} samples)")
-    return 0
 
 
 def _image_pipeline(data, wavenumber, scene, wave, grid, args):
@@ -200,64 +200,52 @@ def _image_pipeline(data, wavenumber, scene, wave, grid, args):
     return data_map, analytic_map, peaks_doc, prediction
 
 
-def cmd_image(args) -> int:
-    data_path = Path(args.data)
-    if not data_path.is_file():
-        raise ConfigError(f"far-field file not found: {data_path}")
-    grid = _parse_grid(args.grid)
-    try:
-        data, meta = read_far_field(data_path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
-        wavelength = (args.wavelength if args.wavelength is not None
-                      else float(meta["wavelength"]))
-        wavenumber = wavenumber_from_wavelength(wavelength)
-    except KeyError:
-        raise ConfigError("no wavelength in sidecar; pass --wavelength") from None
-    except ValueError as exc:
-        raise ConfigError(f"bad wavelength: {exc}") from exc
-
+def cmd_image(args):
+    data, meta = read_far_field(args.data)
+    sidecar = Path(args.data).with_suffix(".json")
+    grid = _data_map_grid(args.grid, data.observation_set.count)
+    try:  # only a sidecar value can fail: the flag is checked at parse time
+        wavenumber = wavenumber_from_wavelength(args.wavelength or meta["wavelength"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar}: no valid wavelength ({exc!r}); "
+                         "pass --wavelength") from exc
     scene = wave = None
     if "scene" in meta:
-        try:
-            cfg = _apply_overrides(scene_from_document(meta["scene"]), args)
-        except ValueError as exc:
-            raise ConfigError(f"sidecar of {data_path}: {exc}") from exc
+        cfg = _scene_config(args, sidecar, meta["scene"])
         scene, wave = cfg["scene"], cfg["wave"]
-
+    yield
     data_map, _, peaks_doc, _ = _image_pipeline(data, wavenumber, scene, wave,
                                                 grid, args)
+    yield
     out_dir = _write_outputs(args, {"map.csv": data_map, "map.pgm": data_map,
                                     "peaks.json": peaks_doc})
     print(f"wrote {out_dir / 'map.csv'}, {out_dir / 'map.pgm'}, "
           f"{out_dir / 'peaks.json'} ({len(peaks_doc['peaks'])} peaks)")
-    return 0
 
 
-def cmd_predict(args) -> int:
-    cfg = _load_scene_or_fail(args.scene, args)
-    grid = _parse_grid(args.grid)
+def cmd_predict(args):
+    cfg = _scene_config(args, args.scene)
     scene, wave = cfg["scene"], cfg["wave"]
+    grid = _parse_grid(args.grid)
+    yield
     analytic_map = compute_map((scene, wave), grid, threads=args.threads)
-    out_dir = _write_outputs(
-        args, {"analytic_map.csv": analytic_map, "analytic_map.pgm": analytic_map,
+    outputs = {"analytic_map.csv": analytic_map, "analytic_map.pgm": analytic_map,
                "predicted_peaks.json": _prediction_document(
-                   predicted_peaks(scene, wave))},
-        warnings=validate_scene(scene, wave).entries)
+                   predicted_peaks(scene, wave))}
+    warnings = validate_scene(scene, wave).entries
+    yield
+    out_dir = _write_outputs(args, outputs, warnings=warnings)
     print(f"wrote {out_dir / 'analytic_map.csv'}, "
           f"{out_dir / 'analytic_map.pgm'}, {out_dir / 'predicted_peaks.json'}")
-    return 0
 
 
-def cmd_example(args) -> int:
+def cmd_example(args):
     which = args.which
-    scene = example_scene(which)
-    wave = example_wave()
+    scene, wave = example_scene(which), example_wave()
+    grid = _data_map_grid(args.grid, args.num_dirs)
     obs = make_observation_set(args.num_dirs)
-    grid = _parse_grid(args.grid)
     spec = _noise_spec(args)
+    yield
     data = add_noise(synthesize_far_field(scene, wave, obs), spec)
     data_map, analytic_map, peaks_doc, prediction = _image_pipeline(
         data, wave.wavenumber, scene, wave, grid, args)
@@ -274,16 +262,16 @@ def cmd_example(args) -> int:
         "peaks": peaks_doc["peaks"],
         "predicted": peaks_doc["predicted"],
     }
-    out_dir = _write_outputs(
-        args, {"scene.json": scene_config_document(scene, wave, obs),
+    outputs = {"scene.json": scene_config_document(scene, wave, obs),
                "map.csv": data_map, "map.pgm": data_map, "peaks.json": peaks_doc,
                "analytic_map.csv": analytic_map, "analytic_map.pgm": analytic_map,
-               "predicted_peaks.json": prediction, "report.json": report},
-        far_field=(data, scene, wave, spec),
-        warnings=validate_scene(scene, wave).entries)
+               "predicted_peaks.json": prediction, "report.json": report}
+    warnings = validate_scene(scene, wave).entries
+    yield
+    out_dir = _write_outputs(args, outputs, far_field=(data, scene, wave, spec),
+                             warnings=warnings)
     print(f"{which}: residual {peaks_doc['residual']:.3e}, "
           f"{len(peaks_doc['peaks'])} peaks; outputs in {out_dir}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +291,11 @@ def _checked(convert, ok, rule: str):
 
 
 _positive_int = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_num_dirs = _checked(int, lambda n: 1 <= n <= MAX_DIRECTIONS,
+                     f"an integer in [1, {MAX_DIRECTIONS:,}]")
+_wavelength = _checked(float, wavenumber_from_wavelength,
+                       "a positive number with a finite 2*pi/wavelength")
+_degrees = _checked(float, math.isfinite, "a finite number (degrees)")
 _seed = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _snr_db = _checked(float, lambda x: x > SNR_DB_FLOOR,
                    f"a number above {SNR_DB_FLOOR:.3f} (dB)")
@@ -314,8 +307,6 @@ def _add_common_output_flags(p) -> None:
     p.add_argument("--out", default="dsm2d-out", help="output directory")
     p.add_argument("--force", action="store_true",
                    help="overwrite existing outputs")
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker threads for the map sweep")
 
 
 def _add_peak_flags(p) -> None:
@@ -327,9 +318,16 @@ def _add_peak_flags(p) -> None:
                    help="minimum spacing between reported peaks")
 
 
-def _add_grid_flag(p) -> None:
+def _add_map_flags(p) -> None:
     p.add_argument("--grid", default=DEFAULT_GRID,
                    help="search grid as 'x0,x1,y0,y1,step'")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="worker threads for the map sweep")
+
+
+def _add_wave_flags(p) -> None:
+    p.add_argument("--wavelength", type=_wavelength, default=None)
+    p.add_argument("--incident-deg", type=_degrees, default=None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -349,11 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn = sub.add_parser("synthesize",
                            help="generate far-field data from a scene JSON")
     p_syn.add_argument("--scene", required=True, help="scene JSON file")
-    p_syn.add_argument("--wavelength", type=float, default=None)
-    p_syn.add_argument("--incident-deg", type=float, default=None,
-                       dest="incident_deg")
-    p_syn.add_argument("--num-dirs", type=_positive_int, default=None,
-                       dest="num_dirs")
+    _add_wave_flags(p_syn)
+    p_syn.add_argument("--num-dirs", type=_num_dirs, default=None)
     p_syn.add_argument("--snr-db", type=_snr_db, default=None, dest="snr_db",
                        help="additive-noise SNR in dB (omit for noise-free)")
     p_syn.add_argument("--seed", type=_seed, default=0)
@@ -363,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_img = sub.add_parser("image",
                            help="compute the indicator map from far-field data")
     p_img.add_argument("--data", required=True, help="far-field CSV file")
-    p_img.add_argument("--wavelength", type=float, default=None,
+    p_img.add_argument("--wavelength", type=_wavelength, default=None,
                        help="override the sidecar wavelength")
-    _add_grid_flag(p_img)
+    _add_map_flags(p_img)
     _add_peak_flags(p_img)
     _add_common_output_flags(p_img)
     p_img.set_defaults(func=cmd_image)
@@ -373,20 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre = sub.add_parser("predict",
                            help="closed-form map and peak predictions")
     p_pre.add_argument("--scene", required=True, help="scene JSON file")
-    p_pre.add_argument("--wavelength", type=float, default=None)
-    p_pre.add_argument("--incident-deg", type=float, default=None,
-                       dest="incident_deg")
-    _add_grid_flag(p_pre)
+    _add_wave_flags(p_pre)
+    _add_map_flags(p_pre)
     _add_common_output_flags(p_pre)
     p_pre.set_defaults(func=cmd_predict)
 
     p_ex = sub.add_parser("example", help="run a shipped demo end to end")
     p_ex.add_argument("which", choices=sorted(EXAMPLE_PERMEABILITIES))
-    p_ex.add_argument("--num-dirs", type=_positive_int,
+    p_ex.add_argument("--num-dirs", type=_num_dirs,
                       default=DEFAULT_NUM_DIRECTIONS, dest="num_dirs")
     p_ex.add_argument("--snr-db", type=_snr_db, default=None, dest="snr_db")
     p_ex.add_argument("--seed", type=_seed, default=0)
-    _add_grid_flag(p_ex)
+    _add_map_flags(p_ex)
     _add_peak_flags(p_ex)
     _add_common_output_flags(p_ex)
     p_ex.set_defaults(func=cmd_example)
@@ -394,17 +387,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What each phase of a subcommand may raise: (exceptions, exit code, label).
+_PHASES = (((ValueError, OSError), 2, "error"),
+           (ValueError, 1, "degenerate computation"),
+           (OSError, 2, "error"))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"degenerate computation: {exc}", file=sys.stderr)
-        return 1
+    args = build_parser().parse_args(argv)
+    phases = args.func(args)
+    for caught, code, label in _PHASES:
+        try:
+            next(phases, None)
+        except caught as exc:
+            print(f"{label}: {exc}", file=sys.stderr)
+            return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (ObservationSet, Scene, WaveContext, make_observation_set,
-                    scene_config_document)
+from .model import (ObservationSet, Scene, WaveContext, contrast_factor,
+                    make_observation_set, scene_config_document)
 
 # The noise-to-signal power ratio 10 ** (-snr_db / 10) is a finite double
 # exactly when snr_db lies above -10 log10(DBL_MAX) = -3082.547... dB.
@@ -71,18 +71,20 @@ class NoiseSpec:
                              f"got {self.snr_db!r}")
 
 
-def contrast_factor(mu_m: float, mu_0: float) -> float:
-    """Per-inclusion contrast weight mu_0 / (mu_m + mu_0).
+def unit_scaled(samples: np.ndarray) -> tuple:
+    """``(samples * 2**-e, e)``, with the largest real or imaginary part of
+    the scaled samples in [0.5, 1).
 
-    The polarizability tensor of a small disk is twice this weight times
-    the identity, so d.M.theta = 2 * weight * (d.theta); the closed-form
-    indicator uses the weight itself. Monotone decreasing in mu_m:
-    very-high-contrast inclusions scatter weakly and fade from the
-    indicator map.
+    A power-of-two factor is exact, so sums and products of the scaled
+    samples are the originals' times a power of two, bit for bit, while
+    their squares can neither overflow nor underflow to zero.
     """
-    if not (mu_m > 0) or not (mu_0 > 0):
-        raise ValueError("permeabilities must be positive")
-    return mu_0 / (mu_m + mu_0)
+    e = int(np.frexp(max(np.max(np.abs(samples.real)),
+                         np.max(np.abs(samples.imag))))[1])
+    scaled = np.empty_like(samples)
+    scaled.real = np.ldexp(samples.real, -e)
+    scaled.imag = np.ldexp(samples.imag, -e)
+    return scaled, e
 
 
 def synthesize_far_field(scene: Scene, wave: WaveContext,
@@ -104,15 +106,21 @@ def synthesize_far_field(scene: Scene, wave: WaveContext,
     d_theta = np.matmul(theta, d[:, np.newaxis])[:, 0, 0]
     mu0 = scene.background_permeability
     total = np.zeros(obs.count, dtype=complex)
-    for inc in scene.inclusions:
-        angular = 2.0 * contrast_factor(inc.permeability, mu0) * d_theta
-        theta_x = np.matmul(theta, inc.center[:, np.newaxis])[:, 0, 0]
-        phase = np.exp(1j * k * float(np.dot(d, inc.center)) - 1j * k * theta_x)
-        total += inc.radius ** 2 * math.pi * angular * phase
-    prefactor = -(k * k) * (1.0 + 1.0j) / (4.0 * math.sqrt(k * math.pi))
-    samples = np.empty(obs.count, dtype=complex)
-    samples.real = prefactor.real * total.real - prefactor.imag * total.imag
-    samples.imag = prefactor.real * total.imag + prefactor.imag * total.real
+    # k|x_m| or an amplitude past the double range gives inf or NaN samples,
+    # which FarFieldData rejects: numpy need not warn about it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for inc in scene.inclusions:
+            angular = 2.0 * contrast_factor(inc.permeability, mu0) * d_theta
+            theta_x = np.matmul(theta, inc.center[:, np.newaxis])[:, 0, 0]
+            phase = np.exp(1j * k * float(np.dot(d, inc.center)) - 1j * k * theta_x)
+            total += inc.radius ** 2 * math.pi * angular * phase
+        prefactor = -(k * k) * (1.0 + 1.0j) / (4.0 * math.sqrt(k * math.pi))
+        samples = np.empty(obs.count, dtype=complex)
+        samples.real = prefactor.real * total.real - prefactor.imag * total.imag
+        samples.imag = prefactor.real * total.imag + prefactor.imag * total.real
+    if not samples.any():
+        raise ValueError("far field is zero in every direction: the "
+                         "amplitude underflows, or d is normal to every theta")
     return FarFieldData(observation_set=obs,
                         incident_direction=wave.incident_direction,
                         samples=samples)
@@ -124,27 +132,32 @@ def add_noise(data: FarFieldData, spec: NoiseSpec) -> FarFieldData:
     Noise is drawn i.i.d. per sample (real and imaginary parts in index
     order from the seeded stream) and then rescaled so that
     10*log10(||data||^2 / ||noise||^2) equals ``spec.snr_db`` exactly.
-    An infinite SNR returns the data unchanged, bit for bit.
+    The powers are taken on ``unit_scaled`` samples, so data anywhere in
+    the double range work and scaling the data by 2**j scales the noisy
+    result by 2**j, bit for bit. An infinite SNR returns the data
+    unchanged, bit for bit.
     """
     if spec.snr_db == math.inf:
         return FarFieldData(observation_set=data.observation_set,
                             incident_direction=data.incident_direction,
                             samples=data.samples)
-    signal_power = float(np.sum(np.abs(data.samples) ** 2))
+    scaled, e = unit_scaled(data.samples)
+    signal_power = float(np.sum(np.abs(scaled) ** 2))  # times 4**-e, exactly
     if signal_power == 0.0:
         raise ValueError("SNR is undefined for all-zero data")
     rng = np.random.default_rng(spec.seed)
     draws = rng.standard_normal((data.observation_set.count, 2))
     noise = draws[:, 0] + 1j * draws[:, 1]
     raw_power = float(np.sum(np.abs(noise) ** 2))
-    target_power = signal_power * 10.0 ** (-spec.snr_db / 10.0)
-    if not math.isfinite(target_power):
-        raise ValueError(f"noise power overflows at {spec.snr_db} dB "
-                         f"for signal power {signal_power:.6g}")
-    noise *= math.sqrt(target_power / raw_power)
+    target_power = signal_power * 10.0 ** (-spec.snr_db / 10.0)  # times 4**-e
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        noise *= np.ldexp(math.sqrt(target_power / raw_power), e)
+        samples = data.samples + noise
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"noise power overflows at {spec.snr_db} dB")
     return FarFieldData(observation_set=data.observation_set,
                         incident_direction=data.incident_direction,
-                        samples=data.samples + noise)
+                        samples=samples)
 
 
 def achieved_snr_db(clean: FarFieldData, noisy: FarFieldData) -> float:
@@ -200,27 +213,36 @@ def read_far_field(csv_path):
     """Load far-field CSV (+ sidecar if present); lossless round trip.
 
     Returns ``(FarFieldData, metadata_dict)``; the metadata dict is empty
-    when no sidecar file exists.
+    when no sidecar file exists. A ``ValueError`` names the bad file.
     """
     csv_path = Path(csv_path)
-    rows = csv_path.read_text().strip().splitlines()
-    if not rows or rows[0] != CSV_HEADER:
-        raise ValueError(f"{csv_path}: expected header '{CSV_HEADER}'")
-    values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    if values.shape[0] == 0:
-        raise ValueError(f"{csv_path}: no samples")
-    count = values.shape[0]
-    obs = make_observation_set(count)
-    if not np.allclose(values[:, 1:3], obs.directions, atol=1e-12):
-        raise ValueError(f"{csv_path}: directions are not the uniform "
-                         f"{count}-point set")
+    try:
+        rows = csv_path.read_text().strip().splitlines()
+        if not rows or rows[0] != CSV_HEADER:
+            raise ValueError(f"expected header '{CSV_HEADER}'")
+        values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+        if values.shape[0] == 0:
+            raise ValueError("no samples")
+        if values.shape[1:] != (5,) or not np.all(np.isfinite(values)):
+            raise ValueError("every row needs 5 finite values")
+        count = values.shape[0]
+        obs = make_observation_set(count)
+        if not np.allclose(values[:, 1:3], obs.directions, atol=1e-12):
+            raise ValueError(f"directions are not the uniform {count}-point set")
+    except ValueError as exc:  # also undecodable bytes
+        raise ValueError(f"{csv_path}: {exc}") from exc
     samples = values[:, 3] + 1j * values[:, 4]
 
     meta = {}
     sidecar = csv_path.with_suffix(".json")
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-    incident = np.asarray(meta.get("incident_direction", [1.0, 0.0]), dtype=float)
+    try:
+        if sidecar.exists():
+            meta = json.loads(sidecar.read_text())
+        if not isinstance(meta, dict):
+            raise ValueError("sidecar must be a JSON object")
+        incident = np.asarray(meta.get("incident_direction", [1.0, 0.0]), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar}: {exc}") from exc
     data = FarFieldData(observation_set=obs, incident_direction=incident,
                         samples=samples)
     return data, meta

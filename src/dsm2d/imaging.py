@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import FarFieldData, contrast_factor
-from .model import Scene, WaveContext
+from .forward import FarFieldData, unit_scaled
+from .model import Scene, WaveContext, contrast_factor
 from .specfun import bessel_j1
 
 GRID_EPS = 1e-9  # guards node counting against FP drift in (max-min)/step
@@ -118,7 +118,8 @@ def _analytic_band_values(scene: Scene, wave: WaveContext, x_nodes: np.ndarray,
     dist = np.hypot(dx, dy)
     # At a center dx = dy = 0 and J1(0) = 0, so the term there is exactly 0.
     directional = (dx * d[0] + dy * d[1]) / np.where(dist == 0.0, 1.0, dist)
-    dist *= k  # in place: one (n_inc, rows, nx) array fewer while J1 runs
+    with np.errstate(over="ignore"):  # bessel_j1 rejects an overflowed k*dist
+        dist *= k  # in place: one (n_inc, rows, nx) array fewer while J1 runs
     j1 = bessel_j1(dist)
     total = np.zeros((y_band.size, x_nodes.size), dtype=complex)
     for m, inc in enumerate(scene.inclusions):  # summed in scene order
@@ -150,7 +151,8 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     if isinstance(source, FarFieldData):
         if wavenumber is None or not (wavenumber > 0):
             raise ValueError("a positive wavenumber is required with data sources")
-        psi = source.samples
+        # an exact power of two: the same map bits, no over- or underflow
+        psi, _ = unit_scaled(source.samples)
         norm_psi = float(np.linalg.norm(psi))
         if norm_psi == 0.0:
             raise ValueError("indicator undefined for all-zero data")

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import FarFieldData, contrast_factor
-from .model import ObservationSet, Scene, WaveContext
+from .forward import FarFieldData
+from .model import ObservationSet, Scene, WaveContext, contrast_factor
 from .specfun import J1_FIRST_MAX, bessel_j1
 
 

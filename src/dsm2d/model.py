@@ -26,11 +26,29 @@ DEFAULT_SEPARATION_THRESHOLD = 7.5
 
 UNIT_TOL = 1e-12
 
+# Most observation directions accepted; a far-field CSV of it is ~80 MB.
+# The data map also needs N * (nx + ny) <= imaging.MAX_GRID_NODES.
+MAX_DIRECTIONS = 10 ** 6
+
 
 def _readonly(a) -> np.ndarray:
     arr = np.array(a, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def contrast_factor(mu_m: float, mu_0: float) -> float:
+    """Per-inclusion contrast weight mu_0 / (mu_m + mu_0).
+
+    The polarizability tensor of a small disk is twice this weight times
+    the identity, so d.M.theta = 2 * weight * (d.theta); the closed-form
+    indicator uses the weight itself. Monotone decreasing in mu_m:
+    very-high-contrast inclusions scatter weakly and fade from the
+    indicator map.
+    """
+    if not (mu_m > 0) or not (mu_0 > 0):
+        raise ValueError("permeabilities must be positive")
+    return mu_0 / (mu_m + mu_0)
 
 
 @dataclass(frozen=True)
@@ -70,10 +88,14 @@ class Scene:
             raise ValueError("background permeability must be positive")
         if len(self.inclusions) < 1:
             raise ValueError("scene needs at least one inclusion")
+        mu0 = self.background_permeability
         for m, a in enumerate(self.inclusions):
-            if not math.isfinite(a.permeability + self.background_permeability):
+            if not math.isfinite(a.permeability + mu0):
                 raise ValueError(f"inclusion {m}: permeability plus background "
                                  "permeability must be finite")
+            if a.radius ** 2 * contrast_factor(a.permeability, mu0) == 0.0:
+                raise ValueError(f"inclusion {m}: its weight radius**2 * "
+                                 "contrast_factor underflows to zero")
             for b in self.inclusions[m + 1:]:
                 if np.array_equal(a.center, b.center):
                     raise ValueError(
@@ -105,6 +127,8 @@ class WaveContext:
     @classmethod
     def from_degrees(cls, wavelength: float, angle_deg: float) -> "WaveContext":
         """Build from a propagation angle in degrees (0 = +x axis)."""
+        if not math.isfinite(angle_deg):  # math.cos(inf) says "domain error"
+            raise ValueError(f"incident angle must be finite, got {angle_deg!r}")
         ang = math.radians(angle_deg)
         return cls(wavelength, np.array([math.cos(ang), math.sin(ang)]))
 
@@ -128,8 +152,10 @@ def make_observation_set(count: int) -> ObservationSet:
     The angle is reduced mod N before the trig call, so the n = N entry is
     exactly (1, 0) and the set is exactly invariant under n -> n + N.
     """
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValueError(f"direction count must be a positive integer, got {count!r}")
+    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+            or not 1 <= count <= MAX_DIRECTIONS):
+        raise ValueError(f"direction count must be an integer in "
+                         f"[1, {MAX_DIRECTIONS:,}], got {count!r}")
     n = np.arange(1, count + 1) % count
     ang = 2.0 * np.pi * n / count
     return ObservationSet(count=int(count),
@@ -137,9 +163,10 @@ def make_observation_set(count: int) -> ObservationSet:
 
 
 def wavenumber_from_wavelength(wavelength: float) -> float:
-    """k = 2*pi / lambda."""
-    if not (wavelength > 0 and math.isfinite(wavelength)):
-        raise ValueError("wavelength must be positive and finite")
+    """k = 2*pi / lambda, for a positive finite lambda with a finite k."""
+    if not (0 < wavelength < math.inf and math.isfinite(2.0 * math.pi / wavelength)):
+        raise ValueError(f"wavelength must be positive with a finite "
+                         f"wavenumber 2*pi/wavelength, got {wavelength!r}")
     return 2.0 * math.pi / wavelength
 
 
@@ -170,7 +197,8 @@ def validate_scene(scene: Scene, wave: WaveContext) -> ValidationReport:
     incs = scene.inclusions
     for m in range(len(incs)):
         for mp in range(m + 1, len(incs)):
-            dist = float(np.hypot(*(incs[m].center - incs[mp].center)))
+            with np.errstate(over="ignore"):  # an inf distance warns of nothing
+                dist = float(np.hypot(*(incs[m].center - incs[mp].center)))
             if k * dist < DEFAULT_SEPARATION_THRESHOLD:
                 entries.append(ValidationEntry(
                     f"inclusions {m} and {mp}: k*distance = {k * dist:.4g} "
@@ -199,7 +227,7 @@ def scene_from_document(doc: dict) -> dict:
         obs = make_observation_set(doc["num_observation_directions"])
     except KeyError as exc:
         raise ValueError(f"missing key {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: float(10**400)
         raise ValueError(f"malformed document: {exc}") from exc
     return {"scene": scene, "wave": wave, "observations": obs}
 

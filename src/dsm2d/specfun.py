@@ -143,7 +143,8 @@ def _taylor(ax: np.ndarray) -> np.ndarray:
 
 def _hankel(ax: np.ndarray) -> np.ndarray:
     # J1(x) = sqrt(2/(pi x)) [cos(w) P(x) - sin(w) Q(x)], w = x - 3 pi/4
-    inv2 = 1.0 / (ax * ax)
+    with np.errstate(over="ignore"):  # ax * ax -> inf makes inv2 0, its limit
+        inv2 = 1.0 / (ax * ax)
     p = np.zeros_like(ax)
     q = np.zeros_like(ax)
     for j in range(_ASYMPTOTIC_TERMS - 1, -1, -1):
@@ -157,7 +158,8 @@ def _hankel(ax: np.ndarray) -> np.ndarray:
     p *= np.cos(w)  # cos(w) p - sin(w) q bit for bit: products commute
     q *= np.sin(w)
     p -= q
-    return np.sqrt(2.0 / (np.pi * ax)) * p
+    with np.errstate(over="ignore"):  # pi * ax -> inf: the amplitude's limit 0
+        return np.sqrt(2.0 / (np.pi * ax)) * p
 
 
 def bessel_j1(x):

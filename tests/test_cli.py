@@ -34,11 +34,12 @@ def _read_bytes(directory, names):
     return {name: (directory / name).read_bytes() for name in names}
 
 
-def test_missing_scene_exits_2_without_outputs(tmp_path):
+def test_missing_scene_exits_2_without_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["synthesize", "--scene", str(tmp_path / "absent.json"),
                  "--out", str(out)])
     assert code == 2
+    assert str(tmp_path / "absent.json") in _one_error_line(capsys)
     assert not out.exists()
 
 
@@ -215,10 +216,14 @@ def _one_error_line(capsys) -> str:
 
 def test_predict_nan_incident_exits_2_without_outputs(tmp_path, scene_file,
                                                       capsys):
+    # checked at parse time, so the flag and not the scene file is named
     out = tmp_path / "p"
-    assert main(["predict", "--scene", str(scene_file), "--incident-deg", "nan",
-                 "--out", str(out), *COARSE]) == 2
-    assert "finite" in _one_error_line(capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--scene", str(scene_file), "--incident-deg", "nan",
+              "--out", str(out), *COARSE])
+    assert exc.value.code == 2
+    line = _one_error_line(capsys)
+    assert "--incident-deg" in line and "finite" in line
     assert not out.exists()
 
 
@@ -277,7 +282,8 @@ def test_image_rejects_bad_sidecar_scene(tmp_path, scene_file, capsys):
     out = tmp_path / "img"
     assert main(["image", "--data", str(data_dir / "farfield.csv"),
                  "--out", str(out), *COARSE]) == 2
-    assert "direction count" in _one_error_line(capsys)
+    line = _one_error_line(capsys)
+    assert "direction count" in line and str(sidecar) in line
     assert not out.exists()
 
 
@@ -308,6 +314,16 @@ def test_json_outputs_refuse_nan(tmp_path):
     (["example", "ex1", "--snr-db=-1e308"], "--snr-db"),
     (["synthesize", "--scene", "SCENE", "--snr-db=-3082.55"], "--snr-db"),
     (["predict", "--scene", "SCENE", "--num-dirs", "3"], "--num-dirs"),
+    # 2*pi/1e-320 overflows; the flag, not the scene file, is named
+    (["predict", "--scene", "SCENE", "--wavelength", "1e-320"], "--wavelength"),
+    (["synthesize", "--scene", "SCENE", "--wavelength=-0.4"], "--wavelength"),
+    (["image", "--data", "DATA", "--wavelength", "inf"], "--wavelength"),
+    (["synthesize", "--scene", "SCENE", "--incident-deg", "inf"],
+     "--incident-deg"),
+    (["synthesize", "--scene", "SCENE", "--num-dirs", str(10 ** 15)],
+     "--num-dirs"),
+    (["example", "ex1", "--num-dirs", str(10 ** 15)], "--num-dirs"),
+    (["synthesize", "--scene", "SCENE", "--threads", "7"], "--threads"),
 ])
 def test_bad_config_flags_exit_2_before_any_output(tmp_path, scene_file, capsys,
                                                   argv, flag):
@@ -344,3 +360,99 @@ def test_noise_power_overflow_exits_1_without_outputs(tmp_path, scene_file,
         assert list(out.iterdir()) == []
     else:
         assert not out.exists()
+
+
+def test_exit_2_lines_name_the_bad_input(tmp_path, scene_file, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["synthesize", "--scene", str(scene_file),
+                 "--out", str(data_dir)]) == 0
+    csv, sidecar = data_dir / "farfield.csv", data_dir / "farfield.json"
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    bad_scene = tmp_path / "radius.json"
+    bad_scene.write_text(json.dumps({**_scene_doc(), "inclusions": [
+        {"center": [0.7, 0.5], "radius": -1.0, "permeability": 5.0}]}))
+    bad_csv = tmp_path / "rows.csv"
+    bad_csv.write_text(csv.read_text().replace("\n2,", "\n2,x", 1))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for argv, named in (
+            (["synthesize", "--scene", str(bad_json)], bad_json),
+            (["predict", "--scene", str(bad_scene), *COARSE], bad_scene),
+            (["image", "--data", str(bad_csv), *COARSE], bad_csv),
+            (["image", "--data", str(tmp_path / "none.csv"), *COARSE],
+             tmp_path / "none.csv")):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert str(named) in _one_error_line(capsys)
+        assert not out.exists()
+    for broken in ("[1, 2]", json.dumps({"num_observation_directions": 256})):
+        sidecar.write_text(broken)
+        assert main(["image", "--data", str(csv), *COARSE, "--out", str(out)]) == 2
+        assert str(sidecar) in _one_error_line(capsys)
+        assert not out.exists()
+    # with --wavelength, a sidecar without one is fine
+    assert main(["image", "--data", str(csv), *COARSE, "--wavelength", "0.4",
+                 "--out", str(out)]) == 0
+
+
+def test_direction_cap_exits_2_without_outputs(tmp_path, capsys):
+    # Sizes whose allocation would need petabytes (10**15 directions) or
+    # 160 TB (a 10**6 x 10**7 phase matrix): a missing check fails at once.
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({**_scene_doc(),
+                                "num_observation_directions": 10 ** 15}))
+    out = tmp_path / "out"
+    for command in ("synthesize", "predict"):
+        assert main([command, "--scene", str(path), "--out", str(out)]) == 2
+        line = _one_error_line(capsys)
+        assert str(path) in line and "direction count" in line
+        assert not out.exists()
+    assert main(["example", "ex1", "--num-dirs", "1000000",
+                 "--grid=0,1,0,1e-7,1e-7", "--out", str(out)]) == 2
+    assert "N*(nx + ny)" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr", [[], ["--snr-db", "20"]])
+def test_tiny_scene_images_like_any_other(tmp_path, capsys, snr):
+    # r = 1e-100: the samples are about 1e-200, so |psi|^2 underflows to 0
+    path = tmp_path / "scene.json"
+    doc = _scene_doc()
+    doc["inclusions"][0]["radius"] = 1e-100
+    path.write_text(json.dumps(doc))
+    data_dir, img_dir = tmp_path / "data", tmp_path / "img"
+    assert main(["synthesize", "--scene", str(path), *snr,
+                 "--out", str(data_dir)]) == 0
+    assert main(["image", "--data", str(data_dir / "farfield.csv"), *COARSE,
+                 "--out", str(img_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((img_dir / "peaks.json").read_text())
+    assert report["residual"] < (1e-3 if not snr else 0.1)
+
+
+def test_far_field_beyond_the_double_range_exits_1_without_outputs(
+        tmp_path, scene_file, capsys):
+    # k = 2*pi/1e-300: k**1.5 * r**2 overflows. k = 2*pi/1e300: it underflows.
+    out = tmp_path / "out"
+    for wavelength, message in (("1e-300", "finite"), ("1e300", "zero")):
+        assert main(["synthesize", "--scene", str(scene_file),
+                     "--wavelength", wavelength, "--out", str(out)]) == 1
+        assert message in _one_error_line(capsys)
+        assert not out.exists()
+
+
+def test_far_center_predicts_without_numpy_warnings(tmp_path, capsys):
+    # k*|x - x_m| near 1e301: J1's Hankel zone overflows 1/(x*x) on the way
+    # to its limit 0. At wavelength 1e-10, k*|x - x_m| itself overflows.
+    path = tmp_path / "scene.json"
+    doc = _scene_doc()
+    doc["inclusions"].append({"center": [1e300, 0.5], "radius": 0.1,
+                              "permeability": 5.0})
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["predict", "--scene", str(path), *COARSE, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["predict", "--scene", str(path), *COARSE, "--wavelength",
+                 "1e-10", "--out", str(tmp_path / "k")]) == 1
+    assert "finite" in _one_error_line(capsys)
+    assert not (tmp_path / "k").exists()

@@ -195,6 +195,20 @@ def test_noise_achieves_exact_snr(ex1_data):
     assert achieved_snr_db(ex1_data, negative) == pytest.approx(-3.0, abs=1e-9)
 
 
+def test_noise_is_bitwise_scale_equivariant(ex1_data):
+    # The signal power is taken on samples scaled by a power of two, so
+    # data 2^-900 or 2^900 times ex1 get exactly that multiple of its noise.
+    noisy = add_noise(ex1_data, NoiseSpec(snr_db=20.0, seed=5)).samples
+    for shift in (-900, 900):
+        scaled = FarFieldData(observation_set=ex1_data.observation_set,
+                              incident_direction=ex1_data.incident_direction,
+                              samples=np.ldexp(ex1_data.samples.real, shift)
+                              + 1j * np.ldexp(ex1_data.samples.imag, shift))
+        got = add_noise(scaled, NoiseSpec(snr_db=20.0, seed=5)).samples
+        assert np.array_equal(got.real, np.ldexp(noisy.real, shift))
+        assert np.array_equal(got.imag, np.ldexp(noisy.imag, shift))
+
+
 def test_noise_seed_changes_draw_not_snr(ex1_data):
     a = add_noise(ex1_data, NoiseSpec(snr_db=20.0, seed=1))
     b = add_noise(ex1_data, NoiseSpec(snr_db=20.0, seed=2))
@@ -230,8 +244,8 @@ def test_noise_spec_floor_is_where_the_power_ratio_overflows(ex1_data):
         10.0 ** (-SNR_DB_FLOOR / 10.0)
     lowest = math.nextafter(SNR_DB_FLOOR, math.inf)
     assert math.isfinite(10.0 ** (-lowest / 10.0))
-    # The ratio is finite there, but the ex1 noise power is not: that is a
-    # ValueError raised before any noise is scaled, never an OverflowError.
+    # The ratio is finite there, but the ex1 noise is not: that is a
+    # ValueError, never an OverflowError or a numpy warning.
     with pytest.raises(ValueError, match="noise power overflows"):
         add_noise(ex1_data, NoiseSpec(snr_db=lowest))
 

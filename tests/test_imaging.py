@@ -188,6 +188,16 @@ def test_map_invariant_under_data_scaling(ex1_data, demo_wave):
     scaled = compute_map(scaled_data, grid, wavenumber=demo_wave.wavenumber)
     assert np.max(np.abs(base.values - scaled.values)) < 1e-12
     assert np.argmax(base.values) == np.argmax(scaled.values)
+    # By 2^-900 or 2^900, |psi|^2 would underflow to 0 or overflow to inf;
+    # a power of two is exact, so the map keeps every bit.
+    for shift in (-900, 900):
+        scaled_data = FarFieldData(
+            observation_set=ex1_data.observation_set,
+            incident_direction=ex1_data.incident_direction,
+            samples=np.ldexp(ex1_data.samples.real, shift)
+            + 1j * np.ldexp(ex1_data.samples.imag, shift))
+        scaled = compute_map(scaled_data, grid, wavenumber=demo_wave.wavenumber)
+        assert scaled.values.tobytes() == base.values.tobytes()
 
 
 def test_map_thread_count_is_bit_invariant(ex1_data, ex2_scene, demo_wave):

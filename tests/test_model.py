@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from dsm2d.model import (DEFAULT_SEPARATION_THRESHOLD, Inhomogeneity,
+from dsm2d.model import (DEFAULT_SEPARATION_THRESHOLD, MAX_DIRECTIONS,
+                         Inhomogeneity,
                          ObservationSet, Scene, WaveContext,
                          load_scene_config, make_observation_set,
                          scene_config_document, scene_from_document,
@@ -44,6 +45,13 @@ def test_observation_set_rejects_zero():
         make_observation_set(0)
 
 
+def test_observation_set_rejects_counts_above_the_cap():
+    # petabytes each, so a missing check fails at once with MemoryError
+    for count in (10 ** 15, 2 ** 62):
+        with pytest.raises(ValueError, match=f"{MAX_DIRECTIONS:,}"):
+            make_observation_set(count)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 64, 256, 999])
 def test_direction_sum_vanishes(n):
     obs = make_observation_set(n)
@@ -66,7 +74,8 @@ def test_wavenumber_examples():
 
 
 def test_wavenumber_rejects_nonpositive():
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    # 1e-320 and 5e-324 are positive, but 2*pi/lambda overflows to inf
+    for bad in (0.0, -1.0, math.inf, math.nan, 1e-320, 5e-324):
         with pytest.raises(ValueError):
             wavenumber_from_wavelength(bad)
 
@@ -118,6 +127,14 @@ def test_scene_rejects_duplicate_centers():
     dup = Inhomogeneity(center=np.array([0.1, 0.2]), radius=0.07, permeability=4.0)
     with pytest.raises(ValueError):
         Scene(background_permeability=1.0, inclusions=(inc, dup))
+
+
+def test_scene_rejects_an_inclusion_weight_that_underflows():
+    # r^2 = 1e-6 and contrast 5e-324 / 0.1 are nonzero; their product is 0
+    inc = Inhomogeneity(center=np.array([0.1, 0.2]), radius=1e-3, permeability=0.1)
+    with pytest.raises(ValueError, match="underflows"):
+        Scene(background_permeability=5e-324, inclusions=(inc,))
+    Scene(background_permeability=1e-300, inclusions=(inc,))
 
 
 def test_scene_rejects_empty():
@@ -198,3 +215,10 @@ def test_scene_json_missing_key(tmp_path):
 def test_observation_set_shape_contract():
     with pytest.raises(ValueError):
         ObservationSet(count=3, directions=np.zeros((2, 2)))
+
+
+def test_validate_takes_an_overflowing_distance_as_well_separated():
+    incs = (Inhomogeneity(np.array([1.7e308, 0.0]), 0.1, 5.0),
+            Inhomogeneity(np.array([-1.7e308, 0.0]), 0.1, 5.0))
+    scene = Scene(background_permeability=1.0, inclusions=incs)
+    assert validate_scene(scene, WaveContext.from_degrees(0.4, 0.0)).ok

@@ -103,6 +103,16 @@ def test_import_keeps_the_callers_decimal_precision(fresh_python):
     assert fresh_python(probe).strip() == "7"
 
 
+def test_j1_at_huge_arguments_is_finite_and_warning_free():
+    # 1/(x*x) and pi*x overflow on the way; both go to their limit 0, and
+    # the RuntimeWarning filter of the test suite fails any numpy warning.
+    for x in (1e155, 1e300, 1.7e308):
+        value = bessel_j1(x)
+        assert math.isfinite(value)
+        assert abs(value) <= math.sqrt(2.0 / math.pi) / math.sqrt(x)
+        assert bessel_j1(-x) == -value
+
+
 def test_global_bounds():
     rng = np.random.default_rng(7)
     xs = rng.uniform(-1000.0, 1000.0, size=4000)
