@@ -82,8 +82,9 @@ def _parse_grid(spec: str) -> SearchGrid:
 
 
 def _data_map_grid(spec: str, count: int) -> SearchGrid:
-    """``_parse_grid`` for a data map over ``count`` directions, whose
-    N x nx and ny x N phase matrices must fit under ``MAX_GRID_NODES``."""
+    """``_parse_grid`` for a data map over ``count`` directions: N (nx + ny),
+    a bound on the entries of its phase matrices, must fit under
+    ``MAX_GRID_NODES``."""
     grid = _parse_grid(spec)
     if count * (grid.nx + grid.ny) > MAX_GRID_NODES:
         raise ValueError(f"--grid {spec!r} with {count} directions: the data "
@@ -185,8 +186,7 @@ def _image_pipeline(data, wavenumber, scene, wave, grid, args):
     Without a scene the analytic map and prediction are ``None``, and so
     are the ``predicted`` and ``residual`` entries of the peaks document.
     """
-    data_map = compute_map(data, grid, wavenumber=wavenumber,
-                           threads=args.threads)
+    data_map = compute_map(data, grid, wavenumber=wavenumber)
     peaks = extract_peaks(data_map, args.min_peak_value,
                           args.min_peak_separation)
     analytic_map = prediction = residual = None
@@ -322,7 +322,7 @@ def _add_map_flags(p) -> None:
     p.add_argument("--grid", default=DEFAULT_GRID,
                    help="search grid as 'x0,x1,y0,y1,step'")
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker threads for the map sweep")
+                   help="worker threads for the closed-form map sweep")
 
 
 def _add_wave_flags(p) -> None:

@@ -3,8 +3,18 @@
 Maps are evaluated over a rectangular node grid and normalized by their
 grid maximum. Both sweeps run over fixed bands of ``BAND_ROWS`` rows:
 elementwise for the closed form, one fixed-shape matrix product for the
-data map. Serial and threaded sweeps produce bit-identical matrices for
-any worker count and any BLAS thread count.
+data map. The closed form can map its bands over a thread pool; the data
+map always runs them serially, since BLAS threads each product. Every map
+is bit-identical for any worker count and any BLAS thread count.
+
+The data map folds the mirror-symmetric direction set: directions n and
+N - n share cos theta and have opposite sin theta, so with column j
+(0 <= j <= N//2) holding psi+ = psi_j and psi- = psi_{N-j} (0 where j has
+no partner), a band's correlation is ``(q psi+ + conj(q) psi-) @ P`` with
+q = e^{ik y sin theta_j} and P = e^{ik x cos theta_j}: half the product
+of the unfolded sum. The folded width K is zero-padded to a multiple of
+8: above K = 128, OpenBLAS rounds a (16 x K)(K x nx) complex product the
+same under every thread count only for some K, the multiples of 8 among them.
 
 Exports: CSV (``x,y,value`` per node, exact ``%.17g`` digits from integer
 arithmetic, streamed per band) and PGM (P5, 16-bit big-endian, top = y_max).
@@ -115,10 +125,11 @@ def _analytic_band_values(scene: Scene, wave: WaveContext, x_nodes: np.ndarray,
     centers = scene.centers
     dx = centers[:, 0, np.newaxis, np.newaxis] - x_nodes
     dy = centers[:, 1, np.newaxis, np.newaxis] - y_band[:, np.newaxis]
-    dist = np.hypot(dx, dy)
-    # At a center dx = dy = 0 and J1(0) = 0, so the term there is exactly 0.
-    directional = (dx * d[0] + dy * d[1]) / np.where(dist == 0.0, 1.0, dist)
-    with np.errstate(over="ignore"):  # bessel_j1 rejects an overflowed k*dist
+    # bessel_j1 rejects a distance or k*dist that overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.hypot(dx, dy)
+        # At a center dx = dy = 0 and J1(0) = 0, so the term there is exactly 0.
+        directional = (dx * d[0] + dy * d[1]) / np.where(dist == 0.0, 1.0, dist)
         dist *= k  # in place: one (n_inc, rows, nx) array fewer while J1 runs
     j1 = bessel_j1(dist)
     total = np.zeros((y_band.size, x_nodes.size), dtype=complex)
@@ -141,9 +152,10 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     grid : SearchGrid
     wavenumber : float, required for a FarFieldData source
     threads : int
-        Worker threads for the sweep, which maps over bands of
-        ``BAND_ROWS`` rows of either map. The output is bit-identical for
-        every thread count and every BLAS thread count.
+        Worker threads for the closed-form sweep, which maps over bands of
+        ``BAND_ROWS`` rows. The data map ignores it and runs serially:
+        BLAS already threads its band products. The output is
+        bit-identical for every thread count and every BLAS thread count.
     """
     xs = grid.x_nodes()
     ys = grid.y_nodes()
@@ -156,17 +168,31 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
         norm_psi = float(np.linalg.norm(psi))
         if norm_psi == 0.0:
             raise ValueError("indicator undefined for all-zero data")
-        theta = source.observation_set.directions
-        # |<psi, e(x_s)>| / (||psi|| ||e||), with e^{ik x cos} e^{ik y sin}
-        phase_xT = np.exp(1j * wavenumber * np.outer(theta[:, 0], xs))
-        phase_y = np.exp(1j * wavenumber * np.outer(ys, theta[:, 1]))
-        inv_denom = 1.0 / (norm_psi * math.sqrt(source.observation_set.count))
+        # Roll so row n holds direction n (row 0: n = N), then fold column
+        # j = 0..N//2 with its mirror N - j as the module docstring says.
+        count = source.observation_set.count
+        theta = np.roll(source.observation_set.directions, 1, axis=0)
+        psi = np.roll(psi, 1)
+        j = np.arange(-(-(count // 2 + 1) // 8) * 8)  # padded, see module doc
+        real = j <= count // 2
+        psi_plus = np.where(real, psi[j % count], 0.0)
+        psi_minus = np.where(real & (j > 0) & (2 * j < count), psi[-j % count], 0.0)
+        cos_j, sin_j = np.where(real, theta[j % count].T, 0.0)
+        # |<psi, e(x_s)>| / (||psi|| ||e||), with e^{ik x cos} e^{ik y sin}.
+        # Far from the origin k*x overflows to a NaN phase; the map check
+        # reports that as non-finite values.
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase_xT = np.exp(1j * wavenumber * np.outer(cos_j, xs))
+            phase_y = np.exp(1j * wavenumber * np.outer(ys, sin_j))
+        inv_denom = 1.0 / (norm_psi * math.sqrt(count))
+        threads = 1  # BLAS threads each product already; a band pool is slower
 
         def unit(iy: int) -> np.ndarray:
             # The last band is shifted back to BAND_ROWS rows: a 1-row product
             # rounds differently under different BLAS thread counts.
             lo = max(0, min(iy, grid.ny - BAND_ROWS))
-            corr = (phase_y[lo:lo + BAND_ROWS] * psi) @ phase_xT
+            q = phase_y[lo:lo + BAND_ROWS]
+            corr = (q * psi_plus + q.conj() * psi_minus) @ phase_xT
             return np.abs(corr[iy - lo:]) * inv_denom
     else:
         scene, wave = source
@@ -213,19 +239,28 @@ def extract_peaks(indicator_map: IndicatorMap, min_value: float,
         raise ValueError("min_separation must be positive")
     v = indicator_map.values
     ny, nx = v.shape
-    dominates = v >= min_value
-    exceeds_one = np.zeros(v.shape, dtype=bool)
-    # Each neighbor pair (p, q = p + forward offset) is compared once; q follows
-    # p in (row, col) order, so p needs v[p] >= v[q] and q the complement.
-    for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
-        p = (slice(0, ny - di), slice(max(0, -dj), nx - max(0, dj)))
-        q = (slice(di, ny), slice(max(0, dj), nx - max(0, -dj)))
-        ge = v[p] >= v[q]
-        dominates[p] &= ge
-        exceeds_one[p] |= v[p] > v[q]
-        dominates[q] &= ~ge
-        exceeds_one[q] |= ~ge
-    rows, cols = np.nonzero(dominates & exceeds_one)
+    # Candidates: at or above min_value and not below either row neighbor,
+    # which every peak satisfies; the full test runs on these alone.
+    cand = v >= min_value
+    cand[:, 1:] &= v[:, 1:] >= v[:, :-1]
+    cand[:, :-1] &= v[:, :-1] >= v[:, 1:]
+    rows, cols = np.nonzero(cand)
+    here = v[rows, cols]
+    dominates = np.ones(rows.size, dtype=bool)
+    exceeds_one = np.zeros(rows.size, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == dj == 0:
+                continue
+            r, c = rows + di, cols + dj
+            inside = (r >= 0) & (r < ny) & (c >= 0) & (c < nx)
+            there = v[np.clip(r, 0, ny - 1), np.clip(c, 0, nx - 1)]
+            # >= against a later node in (row, col) order, > against an earlier
+            beats = here >= there if (di, dj) > (0, 0) else here > there
+            dominates &= beats | ~inside
+            exceeds_one |= (here > there) & inside
+    keep = dominates & exceeds_one
+    rows, cols = rows[keep], cols[keep]
     order = np.lexsort((cols, rows, -v[rows, cols]))
 
     xs = indicator_map.grid.x_nodes()

@@ -149,17 +149,19 @@ class ObservationSet:
 def make_observation_set(count: int) -> ObservationSet:
     """Directions theta_n = [cos(2*pi*n/N), sin(2*pi*n/N)] for n = 1..N.
 
-    The angle is reduced mod N before the trig call, so the n = N entry is
-    exactly (1, 0) and the set is exactly invariant under n -> n + N.
+    The trig calls take j = min(n mod N, N - n mod N) and the sine's sign
+    follows n, so the n = N entry is exactly (1, 0) and direction N - n is
+    exactly (cos theta_n, -sin theta_n): the set is exactly mirror-symmetric.
     """
     if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
             or not 1 <= count <= MAX_DIRECTIONS):
         raise ValueError(f"direction count must be an integer in "
                          f"[1, {MAX_DIRECTIONS:,}], got {count!r}")
     n = np.arange(1, count + 1) % count
-    ang = 2.0 * np.pi * n / count
-    return ObservationSet(count=int(count),
-                          directions=np.column_stack([np.cos(ang), np.sin(ang)]))
+    ang = 2.0 * np.pi * np.minimum(n, count - n) / count
+    sin = np.sin(ang)
+    return ObservationSet(count=int(count), directions=np.column_stack(
+        [np.cos(ang), np.where(2 * n > count, -sin, sin)]))
 
 
 def wavenumber_from_wavelength(wavelength: float) -> float:

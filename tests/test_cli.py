@@ -441,6 +441,17 @@ def test_far_field_beyond_the_double_range_exits_1_without_outputs(
         assert not out.exists()
 
 
+def test_far_grid_exits_1_without_numpy_warnings(tmp_path, scene_file, capsys):
+    # k*x overflows in the data map's phases and |x - x_m| in the closed
+    # form; both must reach their finite checks without a RuntimeWarning.
+    far = "--grid=1e307,1.5e308,1e307,1.5e308,1e307"
+    for argv in (["example", "ex1"], ["predict", "--scene", str(scene_file)]):
+        out = tmp_path / argv[0]
+        assert main([*argv, far, "--out", str(out)]) == 1
+        assert "finite" in _one_error_line(capsys)
+        assert not out.exists()
+
+
 def test_far_center_predicts_without_numpy_warnings(tmp_path, capsys):
     # k*|x - x_m| near 1e301: J1's Hankel zone overflows 1/(x*x) on the way
     # to its limit 0. At wavelength 1e-10, k*|x - x_m| itself overflows.

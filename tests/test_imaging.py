@@ -69,6 +69,27 @@ def test_data_map_matches_scalar_indicator(ex1_data, demo_wave):
     assert np.allclose(imap.values, brute, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(count=st.one_of(st.integers(1, 70), st.sampled_from([129, 130, 255, 257])),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_folded_data_map_matches_scalar_indicator(count, seed, demo_wave):
+    # The fold pairs direction j with N - j; odd and even N, N = 1 and 2
+    # (no pairs) and folded widths past 128 all go through it.
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-0.8, 0.8, (2, 2))
+    if np.array_equal(centers[0], centers[1]):
+        centers = centers[:1]
+    scene = Scene(1.0, tuple(Inhomogeneity(c, 0.05, rng.uniform(1.5, 10.0))
+                             for c in centers))
+    data = synthesize_far_field(scene, demo_wave, make_observation_set(count))
+    grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.25)
+    k = demo_wave.wavenumber
+    brute = np.array([[dsm_indicator_raw(data, k, np.array([x, y]))
+                       for x in grid.x_nodes()] for y in grid.y_nodes()])
+    imap = compute_map(data, grid, wavenumber=k)
+    assert np.allclose(imap.values, brute / brute.max(), rtol=0.0, atol=1e-12)
+
+
 def _scalar_closed_form_map(scene, wave, grid):
     brute = np.array([[closed_form_magnitude(scene, wave, np.array([x, y]))
                        for x in grid.x_nodes()] for y in grid.y_nodes()])
@@ -213,8 +234,10 @@ def test_map_thread_count_is_bit_invariant(ex1_data, ex2_scene, demo_wave):
 
 
 # Hashes the data map of ex2 on grids 401 nodes wide whose row counts leave
-# a last band of 0, 1 and 2 rows, and on one grid shorter than a band. The
-# grids are wide enough for OpenBLAS to split each band product over threads.
+# a last band of 0, 1 and 2 rows, and on one grid shorter than a band, for
+# direction counts whose folded widths before padding (66, 128, 129, 151,
+# 513) straddle 128.
+# The grids are wide enough for OpenBLAS to split each band product over threads.
 _BLAS_PROBE = """
 import hashlib
 from dsm2d.cli import example_scene, example_wave
@@ -222,18 +245,21 @@ from dsm2d.forward import synthesize_far_field
 from dsm2d.imaging import BAND_ROWS, SearchGrid, compute_map
 from dsm2d.model import make_observation_set
 wave = example_wave()
-data = synthesize_far_field(example_scene("ex2"), wave, make_observation_set(256))
-for ny in (2 * BAND_ROWS, 2 * BAND_ROWS + 1, 2 * BAND_ROWS + 2, BAND_ROWS // 2 + 1):
-    grid = SearchGrid(-12.5, 12.5, -1.0, -1.0 + (ny - 1) * 0.0625, 0.0625)
-    assert (grid.nx, grid.ny) == (401, ny)
-    values = compute_map(data, grid, wavenumber=wave.wavenumber).values
-    print(ny, hashlib.sha256(values.tobytes()).hexdigest())
+for count in (130, 255, 256, 300, 1024):
+    data = synthesize_far_field(example_scene("ex2"), wave, make_observation_set(count))
+    for ny in (2 * BAND_ROWS, 2 * BAND_ROWS + 1, 2 * BAND_ROWS + 2, BAND_ROWS // 2 + 1):
+        grid = SearchGrid(-12.5, 12.5, -1.0, -1.0 + (ny - 1) * 0.0625, 0.0625)
+        assert (grid.nx, grid.ny) == (401, ny)
+        values = compute_map(data, grid, wavenumber=wave.wavenumber).values
+        print(count, ny, hashlib.sha256(values.tobytes()).hexdigest())
 """
 
 
 def test_data_map_is_bit_invariant_under_blas_thread_count(fresh_python):
     single = fresh_python(_BLAS_PROBE, OPENBLAS_NUM_THREADS="1").splitlines()
-    assert [line.split()[0] for line in single] == ["32", "33", "34", "9"]
+    assert [line.split()[:2] for line in single] == [
+        [str(count), ny] for count in (130, 255, 256, 300, 1024)
+        for ny in ("32", "33", "34", "9")]
     assert fresh_python(_BLAS_PROBE, OPENBLAS_NUM_THREADS="2").splitlines() == single
 
 
@@ -387,10 +413,25 @@ def test_extract_peaks_matches_padded_reference(imap, min_value, min_separation)
                        _reference_peaks(imap, min_value, min_separation))
 
 
+def _columns(imap, lo, hi):
+    g = imap.grid
+    xs = g.x_nodes()
+    return IndicatorMap(SearchGrid(xs[lo], xs[hi - 1], g.y_min, g.y_max, g.step),
+                        imap.values[:, lo:hi])
+
+
 @pytest.mark.parametrize("min_value", [0.01, 0.5])
 def test_extract_peaks_matches_padded_reference_on_demo_maps(
         min_value, ex1_data_map, ex1_analytic_map, ex3_analytic_map):
-    for imap in (ex1_data_map, ex1_analytic_map, ex3_analytic_map):
+    # Cropped at the top peak's column, ex1's data map peaks on its last
+    # and then on its first column, where the row-neighbor filter sees
+    # only one neighbor.
+    top = int(np.argmax(ex1_data_map.values)) % ex1_data_map.grid.nx
+    edges = [_columns(ex1_data_map, 0, top + 1),
+             _columns(ex1_data_map, top, ex1_data_map.grid.nx)]
+    for imap, col in zip(edges, (-1, 0)):
+        assert imap.values[:, col].max() == 1.0
+    for imap in (ex1_data_map, ex1_analytic_map, ex3_analytic_map, *edges):
         _assert_same_peaks(extract_peaks(imap, min_value, 0.05),
                            _reference_peaks(imap, min_value, 0.05))
 

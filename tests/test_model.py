@@ -31,6 +31,21 @@ def test_observation_set_last_direction_is_plus_x():
         assert np.array_equal(obs.directions[-1], [1.0, 0.0])
 
 
+def test_observation_set_is_exactly_mirrored():
+    # Row n - 1 holds direction n; direction N - n mirrors direction n bit
+    # for bit, and each value stays within 1.5e-15 of cos/sin(2 pi n/N).
+    for count in range(1, 1101):
+        d = make_observation_set(count).directions
+        n = np.arange(1, count)
+        assert d[count - n - 1, 0].tobytes() == d[n - 1, 0].tobytes()
+        n = n[2 * n != count]  # direction N/2 is its own mirror
+        assert d[count - n - 1, 1].tobytes() == (-d[n - 1, 1]).tobytes()
+        assert d[-1].tobytes() == np.array([1.0, 0.0]).tobytes()
+        ang = 2.0 * np.pi * (np.arange(1, count + 1) % count) / count
+        assert np.abs(d[:, 0] - np.cos(ang)).max() <= 1.5e-15
+        assert np.abs(d[:, 1] - np.sin(ang)).max() <= 1.5e-15
+
+
 def test_observation_set_n360_norms_and_gaps():
     obs = make_observation_set(360)
     norms = np.hypot(obs.directions[:, 0], obs.directions[:, 1])
