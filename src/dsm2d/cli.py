@@ -32,8 +32,8 @@ from .imaging import (MAX_GRID_NODES, IndicatorMap, SearchGrid, compute_map,
                       export_map, extract_peaks)
 from .indicator import predicted_peaks
 from .model import (MAX_DIRECTIONS, Scene, Inhomogeneity, WaveContext,
-                    contrast_factor, make_observation_set, scene_config_document,
-                    scene_from_document, validate_scene,
+                    contrast_factor, load_scene_config, make_observation_set,
+                    scene_config_document, validate_scene,
                     wavenumber_from_wavelength)
 
 DEFAULT_NUM_DIRECTIONS = 256
@@ -92,20 +92,10 @@ def _data_map_grid(spec: str, count: int) -> SearchGrid:
     return grid
 
 
-def _scene_config(args, path, doc=None) -> dict:
-    """Parse a scene document, the JSON file at ``path`` unless ``doc`` is
-    given, after writing the wave flags into it. Scene files and sidecar
-    scenes take this one path to ``scene_from_document``."""
-    try:
-        if doc is None:
-            doc = json.loads(Path(path).read_text())
-        if isinstance(doc, dict):
-            doc = {**doc, **{key: getattr(args, flag)
-                             for flag, key in _SCENE_FLAGS.items()
-                             if getattr(args, flag, None) is not None}}
-        return scene_from_document(doc)
-    except ValueError as exc:  # also invalid JSON and undecodable bytes
-        raise ValueError(f"scene in {path}: {exc}") from exc
+def _scene_overrides(args) -> dict:
+    """The wave flags given, as scene-document keys for ``load_scene_config``."""
+    return {key: getattr(args, flag) for flag, key in _SCENE_FLAGS.items()
+            if getattr(args, flag, None) is not None}
 
 
 def _noise_spec(args) -> NoiseSpec:
@@ -168,7 +158,7 @@ def _write_outputs(args, outputs: dict, *, far_field=None,
 # ---------------------------------------------------------------------------
 
 def cmd_synthesize(args):
-    cfg = _scene_config(args, args.scene)
+    cfg = load_scene_config(args.scene, overrides=_scene_overrides(args))
     scene, wave, obs = cfg["scene"], cfg["wave"], cfg["observations"]
     spec = _noise_spec(args)
     yield
@@ -211,7 +201,7 @@ def cmd_image(args):
                          "pass --wavelength") from exc
     scene = wave = None
     if "scene" in meta:
-        cfg = _scene_config(args, sidecar, meta["scene"])
+        cfg = load_scene_config(sidecar, meta["scene"], _scene_overrides(args))
         scene, wave = cfg["scene"], cfg["wave"]
     yield
     data_map, _, peaks_doc, _ = _image_pipeline(data, wavenumber, scene, wave,
@@ -224,7 +214,7 @@ def cmd_image(args):
 
 
 def cmd_predict(args):
-    cfg = _scene_config(args, args.scene)
+    cfg = load_scene_config(args.scene, overrides=_scene_overrides(args))
     scene, wave = cfg["scene"], cfg["wave"]
     grid = _parse_grid(args.grid)
     yield

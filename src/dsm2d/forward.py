@@ -36,13 +36,9 @@ class FarFieldData:
     """Complex far-field samples, one per observation direction."""
 
     observation_set: ObservationSet
-    incident_direction: np.ndarray
     samples: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.incident_direction, dtype=float)
-        d.setflags(write=False)
-        object.__setattr__(self, "incident_direction", d)
         s = np.array(self.samples, dtype=complex)
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
@@ -121,9 +117,7 @@ def synthesize_far_field(scene: Scene, wave: WaveContext,
     if not samples.any():
         raise ValueError("far field is zero in every direction: the "
                          "amplitude underflows, or d is normal to every theta")
-    return FarFieldData(observation_set=obs,
-                        incident_direction=wave.incident_direction,
-                        samples=samples)
+    return FarFieldData(observation_set=obs, samples=samples)
 
 
 def add_noise(data: FarFieldData, spec: NoiseSpec) -> FarFieldData:
@@ -134,13 +128,10 @@ def add_noise(data: FarFieldData, spec: NoiseSpec) -> FarFieldData:
     10*log10(||data||^2 / ||noise||^2) equals ``spec.snr_db`` exactly.
     The powers are taken on ``unit_scaled`` samples, so data anywhere in
     the double range work and scaling the data by 2**j scales the noisy
-    result by 2**j, bit for bit. An infinite SNR returns the data
-    unchanged, bit for bit.
+    result by 2**j, bit for bit. An infinite SNR returns ``data`` itself.
     """
     if spec.snr_db == math.inf:
-        return FarFieldData(observation_set=data.observation_set,
-                            incident_direction=data.incident_direction,
-                            samples=data.samples)
+        return data
     scaled, e = unit_scaled(data.samples)
     signal_power = float(np.sum(np.abs(scaled) ** 2))  # times 4**-e, exactly
     if signal_power == 0.0:
@@ -155,9 +146,7 @@ def add_noise(data: FarFieldData, spec: NoiseSpec) -> FarFieldData:
         samples = data.samples + noise
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"noise power overflows at {spec.snr_db} dB")
-    return FarFieldData(observation_set=data.observation_set,
-                        incident_direction=data.incident_direction,
-                        samples=samples)
+    return FarFieldData(observation_set=data.observation_set, samples=samples)
 
 
 def achieved_snr_db(clean: FarFieldData, noisy: FarFieldData) -> float:
@@ -191,13 +180,9 @@ def write_far_field(data: FarFieldData, csv_path, *,
                      f"{s.real:.17g},{s.imag:.17g}")
     csv_path.write_text("\n".join(lines) + "\n")
 
-    meta = {
-        "num_observation_directions": data.observation_set.count,
-        "incident_direction": [float(v) for v in data.incident_direction],
-    }
+    meta = {"num_observation_directions": data.observation_set.count}
     if wave is not None:
         meta["wavelength"] = wave.wavelength
-        meta["wavenumber"] = wave.wavenumber
     if scene is not None and wave is not None:
         meta["scene"] = scene_config_document(
             scene, wave, data.observation_set)
@@ -240,9 +225,6 @@ def read_far_field(csv_path):
             meta = json.loads(sidecar.read_text())
         if not isinstance(meta, dict):
             raise ValueError("sidecar must be a JSON object")
-        incident = np.asarray(meta.get("incident_direction", [1.0, 0.0]), dtype=float)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{sidecar}: {exc}") from exc
-    data = FarFieldData(observation_set=obs, incident_direction=incident,
-                        samples=samples)
-    return data, meta
+    return FarFieldData(observation_set=obs, samples=samples), meta

@@ -114,14 +114,25 @@ class Peak:
     value: float
 
 
-def _analytic_band_values(scene: Scene, wave: WaveContext, x_nodes: np.ndarray,
-                          y_band: np.ndarray) -> np.ndarray:
+def _closed_form_weights(scene: Scene, wave: WaveContext) -> np.ndarray:
+    """r_m^2 * contrast_m * exp(i k d.x_m) per inclusion, ``unit_scaled``:
+    one exact power of two cancels in the normalization, so the map's bits
+    stay the same while no band term underflows to zero."""
+    k, d, mu0 = wave.wavenumber, wave.incident_direction, scene.background_permeability
+    with np.errstate(invalid="ignore"):  # an infinite k d.x: the map check reports it
+        return unit_scaled(np.array([
+            inc.radius ** 2 * contrast_factor(inc.permeability, mu0)
+            * np.exp(1j * k * float(np.dot(d, inc.center)))
+            for inc in scene.inclusions]))[0]
+
+
+def _analytic_band_values(scene: Scene, wave: WaveContext, weights: np.ndarray,
+                          x_nodes: np.ndarray, y_band: np.ndarray) -> np.ndarray:
     # Closed form over a (rows x nx) band; every operation is elementwise,
     # so a node's value does not depend on the band it falls in. All
     # inclusions are stacked on axis 0, so J1 is called once per band.
     k = wave.wavenumber
     d = wave.incident_direction
-    mu0 = scene.background_permeability
     centers = scene.centers
     dx = centers[:, 0, np.newaxis, np.newaxis] - x_nodes
     dy = centers[:, 1, np.newaxis, np.newaxis] - y_band[:, np.newaxis]
@@ -133,9 +144,7 @@ def _analytic_band_values(scene: Scene, wave: WaveContext, x_nodes: np.ndarray,
         dist *= k  # in place: one (n_inc, rows, nx) array fewer while J1 runs
     j1 = bessel_j1(dist)
     total = np.zeros((y_band.size, x_nodes.size), dtype=complex)
-    for m, inc in enumerate(scene.inclusions):  # summed in scene order
-        weight = (inc.radius ** 2 * contrast_factor(inc.permeability, mu0)
-                  * np.exp(1j * k * float(np.dot(d, inc.center))))
+    for m, weight in enumerate(weights):  # summed in scene order
         total += weight * directional[m] * j1[m]
     return np.abs(total)
 
@@ -196,9 +205,11 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
             return np.abs(corr[iy - lo:]) * inv_denom
     else:
         scene, wave = source
+        weights = _closed_form_weights(scene, wave)
 
         def unit(iy: int) -> np.ndarray:
-            return _analytic_band_values(scene, wave, xs, ys[iy:iy + BAND_ROWS])
+            return _analytic_band_values(scene, wave, weights, xs,
+                                         ys[iy:iy + BAND_ROWS])
 
     starts = range(0, grid.ny, BAND_ROWS)
     values = np.empty((grid.ny, grid.nx))
@@ -262,16 +273,15 @@ def extract_peaks(indicator_map: IndicatorMap, min_value: float,
     keep = dominates & exceeds_one
     rows, cols = rows[keep], cols[keep]
     order = np.lexsort((cols, rows, -v[rows, cols]))
-
-    xs = indicator_map.grid.x_nodes()
-    ys = indicator_map.grid.y_nodes()
+    rows, cols = rows[order], cols[order]
+    xs = indicator_map.grid.x_nodes()[cols]
+    ys = indicator_map.grid.y_nodes()[rows]
     kept: list = []
-    for idx in order:
-        i, j = int(rows[idx]), int(cols[idx])
-        pos = np.array([xs[j], ys[i]])
-        if all(np.hypot(*(pos - p.position)) >= min_separation for p in kept):
-            kept.append(Peak(position=pos, value=float(v[i, j])))
-    return kept
+    for n in range(order.size):  # each candidate against every kept peak at once
+        if np.all(np.hypot(xs[n] - xs[kept], ys[n] - ys[kept]) >= min_separation):
+            kept.append(n)
+    return [Peak(position=np.array([xs[n], ys[n]]), value=float(v[rows[n], cols[n]]))
+            for n in kept]
 
 
 def _value_words(v: np.ndarray) -> np.ndarray:

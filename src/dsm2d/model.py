@@ -234,13 +234,23 @@ def scene_from_document(doc: dict) -> dict:
     return {"scene": scene, "wave": wave, "observations": obs}
 
 
-def load_scene_config(path) -> dict:
-    """Parse a scene JSON file with :func:`scene_from_document`."""
+def load_scene_config(path, doc=None, overrides=None) -> dict:
+    """:func:`scene_from_document` on the JSON file at ``path``, or on
+    ``doc`` (a sidecar's scene, named by ``path``) when given.
+
+    ``overrides`` maps document keys to values written over the document
+    first (the CLI's wave flags). Every ``ValueError`` reads
+    ``scene in <path>: ...``; an unreadable file raises ``OSError``.
+    """
     try:
-        with open(path) as fh:
-            return scene_from_document(json.load(fh))
+        if doc is None:
+            with open(path) as fh:
+                doc = json.load(fh)
+        if overrides and isinstance(doc, dict):
+            doc = {**doc, **overrides}
+        return scene_from_document(doc)
     except ValueError as exc:  # also invalid JSON and undecodable bytes
-        raise ValueError(f"scene file {path}: {exc}") from exc
+        raise ValueError(f"scene in {path}: {exc}") from exc
 
 
 def scene_config_document(scene: Scene, wave: WaveContext, obs: ObservationSet) -> dict:

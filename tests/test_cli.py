@@ -113,7 +113,6 @@ def test_image_all_zero_data_exits_1(tmp_path):
 
     obs = make_observation_set(64)
     silent = FarFieldData(observation_set=obs,
-                          incident_direction=np.array([1.0, 0.0]),
                           samples=np.zeros(64, dtype=complex))
     write_far_field(silent, tmp_path / "farfield.csv",
                     wave=WaveContext.from_degrees(0.4, 45.0))
@@ -467,3 +466,25 @@ def test_far_center_predicts_without_numpy_warnings(tmp_path, capsys):
                  "1e-10", "--out", str(tmp_path / "k")]) == 1
     assert "finite" in _one_error_line(capsys)
     assert not (tmp_path / "k").exists()
+
+
+def test_underflowing_closed_form_terms_still_map(tmp_path, capsys):
+    # weight r^2 * contrast = 1e-305 is normal, but times J1 at k|x| ~ 1e302
+    # (about 1e-151) every unscaled band term underflows to zero
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({
+        "background_permeability": 1e-300,
+        "inclusions": [{"center": [1e300, 0.234], "radius": 1e-3,
+                        "permeability": 0.1}],
+        "wavelength": 0.05, "incident_direction_degrees": 0.0,
+        "num_observation_directions": 64}))
+    data_dir = tmp_path / "data"
+    assert main(["predict", "--scene", str(path), *COARSE,
+                 "--out", str(tmp_path / "pre")]) == 0
+    assert main(["synthesize", "--scene", str(path), "--out", str(data_dir)]) == 0
+    assert main(["image", "--data", str(data_dir / "farfield.csv"), *COARSE,
+                 "--out", str(tmp_path / "img")]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("pre/analytic_map.csv", "img/map.csv"):
+        values = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)[:, 2]
+        assert np.all(np.isfinite(values)) and values.max() == 1.0

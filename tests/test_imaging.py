@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dsm2d.cli import example_scene
-from dsm2d.forward import FarFieldData, contrast_factor, synthesize_far_field
+from dsm2d.forward import (FarFieldData, NoiseSpec, add_noise, contrast_factor,
+                           synthesize_far_field, unit_scaled)
 from dsm2d.imaging import (BAND_ROWS, MAX_GRID_NODES, IndicatorMap, Peak,
-                           SearchGrid, _analytic_band_values, _value_words,
-                           compute_map, export_map, extract_peaks)
+                           SearchGrid, _analytic_band_values,
+                           _closed_form_weights, _value_words, compute_map,
+                           export_map, extract_peaks)
 from dsm2d.indicator import (closed_form_magnitude, dsm_indicator_raw,
                              predicted_peaks)
 from dsm2d.model import Inhomogeneity, Scene, make_observation_set
@@ -126,18 +128,23 @@ def test_banded_closed_form_matches_scalar_oracle(y_max, last_band_rows,
     assert np.max(np.abs(imap.values - brute)) <= 1e-12
 
 
+def _oracle_weights(scene, wave):
+    k, d = wave.wavenumber, wave.incident_direction
+    return [inc.radius ** 2
+            * contrast_factor(inc.permeability, scene.background_permeability)
+            * np.exp(1j * k * float(np.dot(d, inc.center)))
+            for inc in scene.inclusions]
+
+
 def _per_inclusion_band_values(scene, wave, x_nodes, y_band):
     # Oracle: one complex term per inclusion, each with its own J1 call.
     k, d = wave.wavenumber, wave.incident_direction
     total = np.zeros((y_band.size, x_nodes.size), dtype=complex)
-    for inc in scene.inclusions:
+    for inc, weight in zip(scene.inclusions, _oracle_weights(scene, wave)):
         dx = inc.center[0] - x_nodes
         dy = (inc.center[1] - y_band)[:, np.newaxis]
         dist = np.hypot(dx, dy)
         directional = (dx * d[0] + dy * d[1]) / np.where(dist == 0.0, 1.0, dist)
-        weight = (inc.radius ** 2
-                  * contrast_factor(inc.permeability, scene.background_permeability)
-                  * np.exp(1j * k * float(np.dot(d, inc.center))))
         total += weight * directional * bessel_j1(k * dist)
     return np.abs(total)
 
@@ -159,11 +166,14 @@ def test_stacked_band_is_bitwise_the_per_inclusion_sum(which, demo_wave,
     xs, ys = grid.x_nodes(), grid.y_nodes()
     # some center is a grid node, so the dist == 0 branch is covered
     assert any(c[0] in xs and c[1] in ys for c in (i.center for i in scene.inclusions))
+    # the band sums carry the weights' exact power-of-two scale 2**-e
+    weights = _closed_form_weights(scene, demo_wave)
+    _, e = unit_scaled(np.array(_oracle_weights(scene, demo_wave)))
     for iy in range(0, grid.ny, BAND_ROWS):
         band = ys[iy:iy + BAND_ROWS]
-        got = _analytic_band_values(scene, demo_wave, xs, band)
+        got = _analytic_band_values(scene, demo_wave, weights, xs, band)
         want = _per_inclusion_band_values(scene, demo_wave, xs, band)
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.ldexp(want, -e).tobytes()
 
 
 def test_closed_form_is_zero_on_a_disk_center(demo_wave):
@@ -203,7 +213,6 @@ def test_map_invariant_under_data_scaling(ex1_data, demo_wave):
     grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.05)
     scaled_data = FarFieldData(
         observation_set=ex1_data.observation_set,
-        incident_direction=ex1_data.incident_direction,
         samples=(3.0 - 4.0j) * ex1_data.samples)
     base = compute_map(ex1_data, grid, wavenumber=demo_wave.wavenumber)
     scaled = compute_map(scaled_data, grid, wavenumber=demo_wave.wavenumber)
@@ -214,7 +223,6 @@ def test_map_invariant_under_data_scaling(ex1_data, demo_wave):
     for shift in (-900, 900):
         scaled_data = FarFieldData(
             observation_set=ex1_data.observation_set,
-            incident_direction=ex1_data.incident_direction,
             samples=np.ldexp(ex1_data.samples.real, shift)
             + 1j * np.ldexp(ex1_data.samples.imag, shift))
         scaled = compute_map(scaled_data, grid, wavenumber=demo_wave.wavenumber)
@@ -278,7 +286,6 @@ def test_map_rejects_missing_wavenumber(ex1_data):
 def test_map_rejects_zero_data(obs256):
     grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.5)
     silent = FarFieldData(observation_set=obs256,
-                          incident_direction=np.array([1.0, 0.0]),
                           samples=np.zeros(256, dtype=complex))
     with pytest.raises(ValueError):
         compute_map(silent, grid, wavenumber=5.0)
@@ -422,7 +429,8 @@ def _columns(imap, lo, hi):
 
 @pytest.mark.parametrize("min_value", [0.01, 0.5])
 def test_extract_peaks_matches_padded_reference_on_demo_maps(
-        min_value, ex1_data_map, ex1_analytic_map, ex3_analytic_map):
+        min_value, ex1_data_map, ex1_analytic_map, ex3_analytic_map, ex2_data,
+        demo_wave):
     # Cropped at the top peak's column, ex1's data map peaks on its last
     # and then on its first column, where the row-neighbor filter sees
     # only one neighbor.
@@ -431,9 +439,14 @@ def test_extract_peaks_matches_padded_reference_on_demo_maps(
              _columns(ex1_data_map, top, ex1_data_map.grid.nx)]
     for imap, col in zip(edges, (-1, 0)):
         assert imap.values[:, col].max() == 1.0
-    for imap in (ex1_data_map, ex1_analytic_map, ex3_analytic_map, *edges):
-        _assert_same_peaks(extract_peaks(imap, min_value, 0.05),
-                           _reference_peaks(imap, min_value, 0.05))
+    # ex2 at 0 dB on a wide grid: about 500 peaks thinned at min_value 0.01
+    noisy = compute_map(add_noise(ex2_data, NoiseSpec(snr_db=0.0, seed=0)),
+                        SearchGrid(-3.0, 3.0, -3.0, 3.0, 0.02),
+                        wavenumber=demo_wave.wavenumber)
+    for imap in (ex1_data_map, ex1_analytic_map, ex3_analytic_map, *edges, noisy):
+        want = _reference_peaks(imap, min_value, 0.05)
+        _assert_same_peaks(extract_peaks(imap, min_value, 0.05), want)
+    assert len(want) > (400 if min_value == 0.01 else 0)
 
 
 def test_extract_peaks_parameter_validation(ex1_analytic_map):

@@ -75,7 +75,6 @@ def test_indicator_equality_case(obs256):
     point = np.array([0.25, -0.4])
     k = 5.0 * math.pi
     data = FarFieldData(observation_set=obs256,
-                        incident_direction=np.array([1.0, 0.0]),
                         samples=(2.0 - 3.0j) * probe_vector(obs256, k, point))
     assert dsm_indicator_raw(data, k, point) == pytest.approx(1.0, rel=1e-12)
 
@@ -89,7 +88,6 @@ def test_indicator_near_zero_at_true_center(ex1_data, demo_wave):
 def test_indicator_scale_invariant(ex1_data, demo_wave, obs256):
     point = np.array([0.61, 0.42])
     scaled = FarFieldData(observation_set=obs256,
-                          incident_direction=ex1_data.incident_direction,
                           samples=(3.0 - 4.0j) * ex1_data.samples)
     a = dsm_indicator_raw(ex1_data, demo_wave.wavenumber, point)
     b = dsm_indicator_raw(scaled, demo_wave.wavenumber, point)
@@ -102,7 +100,6 @@ def test_indicator_in_unit_interval(obs256):
     for _ in range(20):
         samples = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         data = FarFieldData(observation_set=obs256,
-                            incident_direction=np.array([1.0, 0.0]),
                             samples=samples)
         value = dsm_indicator_raw(data, k, rng.uniform(-1.0, 1.0, size=2))
         assert 0.0 <= value <= 1.0 + 1e-12
@@ -110,7 +107,6 @@ def test_indicator_in_unit_interval(obs256):
 
 def test_indicator_rejects_zero_data(obs256):
     data = FarFieldData(observation_set=obs256,
-                        incident_direction=np.array([1.0, 0.0]),
                         samples=np.zeros(256, dtype=complex))
     with pytest.raises(ValueError):
         dsm_indicator_raw(data, 5.0 * math.pi, np.array([0.0, 0.0]))
