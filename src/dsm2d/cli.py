@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import (SNR_DB_FLOOR, NoiseSpec, add_noise, read_far_field,
-                      synthesize_far_field, write_far_field)
+from .forward import (SNR_DB_FLOOR, NoiseSpec, add_noise, noise_document,
+                      read_far_field, synthesize_far_field, write_far_field)
 from .imaging import (MAX_GRID_NODES, IndicatorMap, SearchGrid, compute_map,
                       export_map, extract_peaks)
 from .indicator import predicted_peaks
@@ -83,8 +83,8 @@ def _parse_grid(spec: str) -> SearchGrid:
 
 def _data_map_grid(spec: str, count: int) -> SearchGrid:
     """``_parse_grid`` for a data map over ``count`` directions: N (nx + ny),
-    a bound on the entries of its phase matrices, must fit under
-    ``MAX_GRID_NODES``."""
+    a bound on the phase exponentials the map takes and so on the entries
+    of its x-phase matrix, must fit under ``MAX_GRID_NODES``."""
     grid = _parse_grid(spec)
     if count * (grid.nx + grid.ny) > MAX_GRID_NODES:
         raise ValueError(f"--grid {spec!r} with {count} directions: the data "
@@ -242,8 +242,7 @@ def cmd_example(args):
     report = {
         "example": which,
         "num_observation_directions": obs.count,
-        "noise": {"snr_db": ("inf" if spec.snr_db == math.inf else spec.snr_db),
-                  "seed": spec.seed},
+        "noise": noise_document(spec),
         "grid": [grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.step],
         "residual": peaks_doc["residual"],
         "contrast_factors": [

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,19 +33,19 @@ SNR_DB_FLOOR = -10.0 * math.log10(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class FarFieldData:
-    """Complex far-field samples, one per observation direction."""
+    """Complex far-field samples; sample n is taken at direction n of the
+    ``observation_set`` that their count N fixes."""
 
-    observation_set: ObservationSet
     samples: np.ndarray
+    observation_set: ObservationSet = field(init=False)
 
     def __post_init__(self):
         s = np.array(self.samples, dtype=complex)
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
-        if self.samples.shape != (self.observation_set.count,):
-            raise ValueError("need exactly one sample per observation direction")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("far-field samples must be finite")
+        if s.ndim != 1 or not np.all(np.isfinite(s)):
+            raise ValueError("far-field samples must be a finite 1-D array")
+        object.__setattr__(self, "observation_set", make_observation_set(s.size))
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,12 @@ class NoiseSpec:
         if not self.snr_db > SNR_DB_FLOOR:
             raise ValueError(f"snr_db must be a number above {SNR_DB_FLOOR:.3f} dB, "
                              f"got {self.snr_db!r}")
+
+
+def noise_document(spec: NoiseSpec) -> dict:
+    """``spec`` as JSON: an infinite SNR (no noise) is written ``"inf"``."""
+    return {"snr_db": "inf" if spec.snr_db == math.inf else spec.snr_db,
+            "seed": spec.seed}
 
 
 def unit_scaled(samples: np.ndarray) -> tuple:
@@ -117,7 +123,7 @@ def synthesize_far_field(scene: Scene, wave: WaveContext,
     if not samples.any():
         raise ValueError("far field is zero in every direction: the "
                          "amplitude underflows, or d is normal to every theta")
-    return FarFieldData(observation_set=obs, samples=samples)
+    return FarFieldData(samples)
 
 
 def add_noise(data: FarFieldData, spec: NoiseSpec) -> FarFieldData:
@@ -146,7 +152,7 @@ def add_noise(data: FarFieldData, spec: NoiseSpec) -> FarFieldData:
         samples = data.samples + noise
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"noise power overflows at {spec.snr_db} dB")
-    return FarFieldData(observation_set=data.observation_set, samples=samples)
+    return FarFieldData(samples)
 
 
 def achieved_snr_db(clean: FarFieldData, noisy: FarFieldData) -> float:
@@ -184,12 +190,9 @@ def write_far_field(data: FarFieldData, csv_path, *,
     if wave is not None:
         meta["wavelength"] = wave.wavelength
     if scene is not None and wave is not None:
-        meta["scene"] = scene_config_document(
-            scene, wave, data.observation_set)
+        meta["scene"] = scene_config_document(scene, wave, data.observation_set)
     if noise is not None:
-        meta["noise"] = {"snr_db": ("inf" if noise.snr_db == math.inf
-                                    else noise.snr_db),
-                         "seed": noise.seed}
+        meta["noise"] = noise_document(noise)
     sidecar = csv_path.with_suffix(".json")
     sidecar.write_text(json.dumps(meta, indent=2) + "\n")
 
@@ -210,13 +213,11 @@ def read_far_field(csv_path):
             raise ValueError("no samples")
         if values.shape[1:] != (5,) or not np.all(np.isfinite(values)):
             raise ValueError("every row needs 5 finite values")
-        count = values.shape[0]
-        obs = make_observation_set(count)
-        if not np.allclose(values[:, 1:3], obs.directions, atol=1e-12):
-            raise ValueError(f"directions are not the uniform {count}-point set")
+        data = FarFieldData(values[:, 3] + 1j * values[:, 4])
+        if not np.allclose(values[:, 1:3], data.observation_set.directions, atol=1e-12):
+            raise ValueError(f"directions are not the uniform {len(values)}-point set")
     except ValueError as exc:  # also undecodable bytes
         raise ValueError(f"{csv_path}: {exc}") from exc
-    samples = values[:, 3] + 1j * values[:, 4]
 
     meta = {}
     sidecar = csv_path.with_suffix(".json")
@@ -227,4 +228,4 @@ def read_far_field(csv_path):
             raise ValueError("sidecar must be a JSON object")
     except ValueError as exc:
         raise ValueError(f"{sidecar}: {exc}") from exc
-    return FarFieldData(observation_set=obs, samples=samples), meta
+    return data, meta

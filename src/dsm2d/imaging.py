@@ -177,22 +177,20 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
         norm_psi = float(np.linalg.norm(psi))
         if norm_psi == 0.0:
             raise ValueError("indicator undefined for all-zero data")
-        # Roll so row n holds direction n (row 0: n = N), then fold column
-        # j = 0..N//2 with its mirror N - j as the module docstring says.
+        # Fold column j = 0..N//2 with its mirror N - j as the module
+        # docstring says; direction n sits at index n - 1 (mod N).
         count = source.observation_set.count
-        theta = np.roll(source.observation_set.directions, 1, axis=0)
-        psi = np.roll(psi, 1)
         j = np.arange(-(-(count // 2 + 1) // 8) * 8)  # padded, see module doc
         real = j <= count // 2
-        psi_plus = np.where(real, psi[j % count], 0.0)
-        psi_minus = np.where(real & (j > 0) & (2 * j < count), psi[-j % count], 0.0)
-        cos_j, sin_j = np.where(real, theta[j % count].T, 0.0)
+        plus, minus = (j - 1) % count, (-j - 1) % count
+        psi_plus = np.where(real, psi[plus], 0.0)
+        psi_minus = np.where(real & (j > 0) & (2 * j < count), psi[minus], 0.0)
+        cos_j, sin_j = np.where(real, source.observation_set.directions[plus].T, 0.0)
         # |<psi, e(x_s)>| / (||psi|| ||e||), with e^{ik x cos} e^{ik y sin}.
         # Far from the origin k*x overflows to a NaN phase; the map check
         # reports that as non-finite values.
         with np.errstate(over="ignore", invalid="ignore"):
             phase_xT = np.exp(1j * wavenumber * np.outer(cos_j, xs))
-            phase_y = np.exp(1j * wavenumber * np.outer(ys, sin_j))
         inv_denom = 1.0 / (norm_psi * math.sqrt(count))
         threads = 1  # BLAS threads each product already; a band pool is slower
 
@@ -200,7 +198,8 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
             # The last band is shifted back to BAND_ROWS rows: a 1-row product
             # rounds differently under different BLAS thread counts.
             lo = max(0, min(iy, grid.ny - BAND_ROWS))
-            q = phase_y[lo:lo + BAND_ROWS]
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = np.exp(1j * wavenumber * np.outer(ys[lo:lo + BAND_ROWS], sin_j))
             corr = (q * psi_plus + q.conj() * psi_minus) @ phase_xT
             return np.abs(corr[iy - lo:]) * inv_denom
     else:

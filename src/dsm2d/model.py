@@ -3,8 +3,8 @@
 A scene is a homogeneous 2D background of relative permeability ``mu_0``
 containing small circular inclusions, each with its own permeability.
 The incident field is a plane wave of wavelength ``lambda`` travelling
-along a unit direction ``d``; far-field samples are taken at uniformly
-spaced unit observation directions.
+along a unit direction ``d``; far-field samples are taken at N uniformly
+spaced unit observation directions, which are derived from N alone.
 
 All types are frozen dataclasses with read-only array fields, safe to
 share across threads.
@@ -135,33 +135,33 @@ class WaveContext:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """N uniformly spaced unit observation directions on the circle."""
-
-    count: int
-    directions: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "directions", _readonly(self.directions))
-        if self.directions.shape != (self.count, 2):
-            raise ValueError("directions must have shape (count, 2)")
-
-
-def make_observation_set(count: int) -> ObservationSet:
-    """Directions theta_n = [cos(2*pi*n/N), sin(2*pi*n/N)] for n = 1..N.
+    """N uniformly spaced unit directions, derived from ``count`` = N alone:
+    theta_n = [cos(2*pi*n/N), sin(2*pi*n/N)] for n = 1..N.
 
     The trig calls take j = min(n mod N, N - n mod N) and the sine's sign
     follows n, so the n = N entry is exactly (1, 0) and direction N - n is
-    exactly (cos theta_n, -sin theta_n): the set is exactly mirror-symmetric.
-    """
-    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
-            or not 1 <= count <= MAX_DIRECTIONS):
-        raise ValueError(f"direction count must be an integer in "
-                         f"[1, {MAX_DIRECTIONS:,}], got {count!r}")
-    n = np.arange(1, count + 1) % count
-    ang = 2.0 * np.pi * np.minimum(n, count - n) / count
-    sin = np.sin(ang)
-    return ObservationSet(count=int(count), directions=np.column_stack(
-        [np.cos(ang), np.where(2 * n > count, -sin, sin)]))
+    exactly (cos theta_n, -sin theta_n): the set is exactly mirror-symmetric."""
+
+    count: int
+    directions: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        count = self.count
+        if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+                or not 1 <= count <= MAX_DIRECTIONS):
+            raise ValueError(f"direction count must be an integer in "
+                             f"[1, {MAX_DIRECTIONS:,}], got {count!r}")
+        n = np.arange(1, count + 1) % count
+        ang = 2.0 * np.pi * np.minimum(n, count - n) / count
+        sin = np.sin(ang)
+        object.__setattr__(self, "count", int(count))
+        object.__setattr__(self, "directions", _readonly(np.column_stack(
+            [np.cos(ang), np.where(2 * n > count, -sin, sin)])))
+
+
+def make_observation_set(count: int) -> ObservationSet:
+    """``ObservationSet(count)``: the uniform, mirrored ``count``-point set."""
+    return ObservationSet(count)
 
 
 def wavenumber_from_wavelength(wavelength: float) -> float:

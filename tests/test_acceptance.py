@@ -166,8 +166,7 @@ def test_criterion_7_scale_invariance(ex_runs, tmp_path_factory):
 
     from dsm2d.forward import read_far_field
     data, meta = read_far_field(base_dir / "farfield.csv")
-    scaled = FarFieldData(observation_set=data.observation_set,
-                          samples=(3.0 - 4.0j) * data.samples)
+    scaled = FarFieldData((3.0 - 4.0j) * data.samples)
     from dsm2d.model import WaveContext
     wave = WaveContext.from_degrees(meta["wavelength"], 45.0)
     write_far_field(scaled, scaled_dir / "farfield.csv", wave=wave)

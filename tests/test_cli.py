@@ -109,11 +109,9 @@ def test_image_pipeline_reports_demo_peaks(tmp_path, scene_file):
 
 def test_image_all_zero_data_exits_1(tmp_path):
     from dsm2d.forward import FarFieldData, write_far_field
-    from dsm2d.model import WaveContext, make_observation_set
+    from dsm2d.model import WaveContext
 
-    obs = make_observation_set(64)
-    silent = FarFieldData(observation_set=obs,
-                          samples=np.zeros(64, dtype=complex))
+    silent = FarFieldData(np.zeros(64, dtype=complex))
     write_far_field(silent, tmp_path / "farfield.csv",
                     wave=WaveContext.from_degrees(0.4, 45.0))
     for existing in (False, True):
@@ -395,8 +393,10 @@ def test_exit_2_lines_name_the_bad_input(tmp_path, scene_file, capsys):
 
 
 def test_direction_cap_exits_2_without_outputs(tmp_path, capsys):
-    # Sizes whose allocation would need petabytes (10**15 directions) or
-    # 160 TB (a 10**6 x 10**7 phase matrix): a missing check fails at once.
+    # 10**15 directions would need petabytes, so a missing direction check
+    # fails at once. The data map of 10**6 directions on 2 x 10**7 nodes
+    # allocates little but is about 10**13 complex multiply-adds, so
+    # without the N*(nx + ny) cap this run would not end in test time.
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({**_scene_doc(),
                                 "num_observation_directions": 10 ** 15}))

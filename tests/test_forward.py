@@ -12,7 +12,8 @@ from dsm2d.forward import (SNR_DB_FLOOR, FarFieldData, NoiseSpec,
                            achieved_snr_db, add_noise, contrast_factor,
                            read_far_field, synthesize_far_field,
                            write_far_field)
-from dsm2d.model import Inhomogeneity, Scene, WaveContext, make_observation_set
+from dsm2d.model import (MAX_DIRECTIONS, Inhomogeneity, Scene, WaveContext,
+                         make_observation_set)
 
 
 def far_field_asymptotic(scene: Scene, wave: WaveContext, theta: np.ndarray) -> complex:
@@ -172,9 +173,17 @@ def test_far_field_reciprocity_at_origin():
                                                      abs=1e-15)
 
 
-def test_far_field_data_shape_contract(obs256):
-    with pytest.raises(ValueError):
-        FarFieldData(observation_set=obs256,
+def test_far_field_data_shape_contract():
+    # The directions follow from the sample count, so only the samples'
+    # own shape can be wrong: one axis, 1 to MAX_DIRECTIONS entries.
+    assert FarFieldData(np.zeros(8, dtype=complex)).observation_set.count == 8
+    with pytest.raises(ValueError, match="1-D"):
+        FarFieldData(np.zeros((8, 1), dtype=complex))
+    for size in (0, MAX_DIRECTIONS + 1):
+        with pytest.raises(ValueError, match="direction count"):
+            FarFieldData(np.zeros(size, dtype=complex))
+    with pytest.raises(TypeError):
+        FarFieldData(observation_set=make_observation_set(8),
                      samples=np.zeros(8, dtype=complex))
 
 
@@ -199,8 +208,7 @@ def test_noise_is_bitwise_scale_equivariant(ex1_data):
     # data 2^-900 or 2^900 times ex1 get exactly that multiple of its noise.
     noisy = add_noise(ex1_data, NoiseSpec(snr_db=20.0, seed=5)).samples
     for shift in (-900, 900):
-        scaled = FarFieldData(observation_set=ex1_data.observation_set,
-                              samples=np.ldexp(ex1_data.samples.real, shift)
+        scaled = FarFieldData(np.ldexp(ex1_data.samples.real, shift)
                               + 1j * np.ldexp(ex1_data.samples.imag, shift))
         got = add_noise(scaled, NoiseSpec(snr_db=20.0, seed=5)).samples
         assert np.array_equal(got.real, np.ldexp(noisy.real, shift))
@@ -221,9 +229,8 @@ def test_noise_is_reproducible(ex1_data):
     assert np.array_equal(a.samples, b.samples)
 
 
-def test_noise_rejects_zero_data(obs256):
-    silent = FarFieldData(observation_set=obs256,
-                          samples=np.zeros(256, dtype=complex))
+def test_noise_rejects_zero_data():
+    silent = FarFieldData(np.zeros(256, dtype=complex))
     with pytest.raises(ValueError):
         add_noise(silent, NoiseSpec(snr_db=20.0, seed=0))
 

@@ -211,9 +211,7 @@ def test_data_map_low_at_true_center(ex1_data_map, default_grid):
 
 def test_map_invariant_under_data_scaling(ex1_data, demo_wave):
     grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.05)
-    scaled_data = FarFieldData(
-        observation_set=ex1_data.observation_set,
-        samples=(3.0 - 4.0j) * ex1_data.samples)
+    scaled_data = FarFieldData((3.0 - 4.0j) * ex1_data.samples)
     base = compute_map(ex1_data, grid, wavenumber=demo_wave.wavenumber)
     scaled = compute_map(scaled_data, grid, wavenumber=demo_wave.wavenumber)
     assert np.max(np.abs(base.values - scaled.values)) < 1e-12
@@ -221,10 +219,8 @@ def test_map_invariant_under_data_scaling(ex1_data, demo_wave):
     # By 2^-900 or 2^900, |psi|^2 would underflow to 0 or overflow to inf;
     # a power of two is exact, so the map keeps every bit.
     for shift in (-900, 900):
-        scaled_data = FarFieldData(
-            observation_set=ex1_data.observation_set,
-            samples=np.ldexp(ex1_data.samples.real, shift)
-            + 1j * np.ldexp(ex1_data.samples.imag, shift))
+        scaled_data = FarFieldData(np.ldexp(ex1_data.samples.real, shift)
+                                   + 1j * np.ldexp(ex1_data.samples.imag, shift))
         scaled = compute_map(scaled_data, grid, wavenumber=demo_wave.wavenumber)
         assert scaled.values.tobytes() == base.values.tobytes()
 
@@ -283,10 +279,9 @@ def test_map_rejects_missing_wavenumber(ex1_data):
         compute_map(ex1_data, grid)
 
 
-def test_map_rejects_zero_data(obs256):
+def test_map_rejects_zero_data():
     grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.5)
-    silent = FarFieldData(observation_set=obs256,
-                          samples=np.zeros(256, dtype=complex))
+    silent = FarFieldData(np.zeros(256, dtype=complex))
     with pytest.raises(ValueError):
         compute_map(silent, grid, wavenumber=5.0)
 

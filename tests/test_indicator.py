@@ -74,8 +74,7 @@ def test_test_vector_norm_is_sqrt_n(obs256):
 def test_indicator_equality_case(obs256):
     point = np.array([0.25, -0.4])
     k = 5.0 * math.pi
-    data = FarFieldData(observation_set=obs256,
-                        samples=(2.0 - 3.0j) * probe_vector(obs256, k, point))
+    data = FarFieldData((2.0 - 3.0j) * probe_vector(obs256, k, point))
     assert dsm_indicator_raw(data, k, point) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -85,29 +84,26 @@ def test_indicator_near_zero_at_true_center(ex1_data, demo_wave):
     assert value <= 0.05
 
 
-def test_indicator_scale_invariant(ex1_data, demo_wave, obs256):
+def test_indicator_scale_invariant(ex1_data, demo_wave):
     point = np.array([0.61, 0.42])
-    scaled = FarFieldData(observation_set=obs256,
-                          samples=(3.0 - 4.0j) * ex1_data.samples)
+    scaled = FarFieldData((3.0 - 4.0j) * ex1_data.samples)
     a = dsm_indicator_raw(ex1_data, demo_wave.wavenumber, point)
     b = dsm_indicator_raw(scaled, demo_wave.wavenumber, point)
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_indicator_in_unit_interval(obs256):
+def test_indicator_in_unit_interval():
     rng = np.random.default_rng(99)
     k = 5.0 * math.pi
     for _ in range(20):
         samples = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        data = FarFieldData(observation_set=obs256,
-                            samples=samples)
+        data = FarFieldData(samples)
         value = dsm_indicator_raw(data, k, rng.uniform(-1.0, 1.0, size=2))
         assert 0.0 <= value <= 1.0 + 1e-12
 
 
-def test_indicator_rejects_zero_data(obs256):
-    data = FarFieldData(observation_set=obs256,
-                        samples=np.zeros(256, dtype=complex))
+def test_indicator_rejects_zero_data():
+    data = FarFieldData(np.zeros(256, dtype=complex))
     with pytest.raises(ValueError):
         dsm_indicator_raw(data, 5.0 * math.pi, np.array([0.0, 0.0]))
 

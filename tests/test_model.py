@@ -228,8 +228,18 @@ def test_scene_json_missing_key(tmp_path):
 
 
 def test_observation_set_shape_contract():
+    # The directions are derived from the count alone and cannot be changed.
+    with pytest.raises(TypeError):
+        ObservationSet(count=3, directions=np.zeros((3, 2)))
+    for count in (True, 2.5, 0, MAX_DIRECTIONS + 1):
+        with pytest.raises(ValueError, match="direction count must be an integer "
+                                             f"in \\[1, {MAX_DIRECTIONS:,}\\]"):
+            ObservationSet(count)
+    obs = ObservationSet(np.int64(7))
+    assert type(obs.count) is int
+    assert not obs.directions.flags.writeable
     with pytest.raises(ValueError):
-        ObservationSet(count=3, directions=np.zeros((2, 2)))
+        obs.directions[0, 0] = 0.0
 
 
 def test_validate_takes_an_overflowing_distance_as_well_separated():
