@@ -23,6 +23,7 @@ arithmetic, streamed per band) and PGM (P5, 16-bit big-endian, top = y_max).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,9 +163,10 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     wavenumber : float, required for a FarFieldData source
     threads : int
         Worker threads for the closed-form sweep, which maps over bands of
-        ``BAND_ROWS`` rows. The data map ignores it and runs serially:
-        BLAS already threads its band products. The output is
-        bit-identical for every thread count and every BLAS thread count.
+        ``BAND_ROWS`` rows, capped at the CPU count. The data map ignores
+        it and runs serially: BLAS already threads its band products. The
+        output is bit-identical for every thread count and every BLAS
+        thread count.
     """
     xs = grid.x_nodes()
     ys = grid.y_nodes()
@@ -212,6 +214,9 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
 
     starts = range(0, grid.ny, BAND_ROWS)
     values = np.empty((grid.ny, grid.nx))
+    # pool.map submits every band at once, so the pool would start `threads`
+    # OS threads if there are that many bands
+    threads = min(threads, os.cpu_count() or 1)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # ~6 ms to import
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -237,6 +237,39 @@ def test_map_thread_count_is_bit_invariant(ex1_data, ex2_scene, demo_wave):
         assert len(blobs) == 1
 
 
+
+def test_closed_form_pool_is_capped_at_the_cpu_count(monkeypatch, ex2_scene, demo_wave):
+    # A serial stand-in records the pool size and starts no thread.
+    import concurrent.futures
+    import os
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.05)
+    serial = compute_map((ex2_scene, demo_wave), grid, threads=1).values.tobytes()
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    capped = compute_map((ex2_scene, demo_wave), grid, threads=10**6)
+    assert asked == [2]
+    assert capped.values.tobytes() == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: run serially
+    unknown = compute_map((ex2_scene, demo_wave), grid, threads=10**6)
+    assert asked == [2]
+    assert unknown.values.tobytes() == serial
+
 # Hashes the data map of ex2 on grids 401 nodes wide whose row counts leave
 # a last band of 0, 1 and 2 rows, and on one grid shorter than a band, for
 # direction counts whose folded widths before padding (66, 128, 129, 151,

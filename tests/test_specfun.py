@@ -1,12 +1,12 @@
 """Bessel implementations against the independent quadrature oracle."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from dsm2d.specfun import (ASYMPTOTIC_CUTOFF, MACLAURIN_CUTOFF, bessel_j1,
-                           bessel_j_oracle)
+from dsm2d.specfun import ASYMPTOTIC_CUTOFF, bessel_j1, bessel_j_oracle
 
 # J1(1.8412) frozen from bessel_j_oracle(1, 1.8412, 1 << 16); the argument
 # is the tabulated location of J1's first maximum.
@@ -123,8 +123,8 @@ def test_taylor_zone_matches_row_gather_horner_bitwise():
     # Reference: Horner over a gathered (n, terms) coefficient matrix.
     from dsm2d.specfun import _ANCHORS, _TAYLOR_J1, _taylor
 
-    ax = np.random.default_rng(11).uniform(1.75, 18.25, size=5000)
-    idx = np.clip(np.rint(2.0 * ax).astype(int) - 4, 0, len(_ANCHORS) - 1)
+    ax = np.random.default_rng(11).uniform(0.0, ASYMPTOTIC_CUTOFF, size=5000)
+    idx = np.rint(2.0 * ax).astype(int)
     coeffs = _TAYLOR_J1.T[idx]
     want = coeffs[:, -1].copy()
     for j in range(coeffs.shape[1] - 2, -1, -1):
@@ -133,21 +133,11 @@ def test_taylor_zone_matches_row_gather_horner_bitwise():
 
 
 def _taylor_reference(ax, terms=26):
-    # Horner over 26-term tables, built the way specfun builds its own.
-    from decimal import Decimal, localcontext
+    # Horner over 26-term tables from the package's own builder.
+    from dsm2d.specfun import _ANCHORS, _build_taylor_tables
 
-    from dsm2d.specfun import (_ANCHOR_HALF_STEPS, _ANCHORS,
-                               _decimal_maclaurin, _taylor_coeffs_j1)
-
-    table = np.empty((terms, len(_ANCHORS)))
-    with localcontext() as ctx:
-        ctx.prec = 50
-        for col, half_steps in enumerate(_ANCHOR_HALF_STEPS):
-            a = Decimal(int(half_steps)) / 2
-            j0a, j1a = _decimal_maclaurin(0, a), _decimal_maclaurin(1, a)
-            table[:, col] = [float(v) for v in _taylor_coeffs_j1(a, j0a, j1a, terms)]
-    idx = np.clip(np.rint(2.0 * ax).astype(int) - _ANCHOR_HALF_STEPS[0],
-                  0, len(_ANCHORS) - 1)
+    table = _build_taylor_tables(terms)
+    idx = np.rint(2.0 * ax).astype(int)
     t = ax - _ANCHORS[idx]
     want = table[-1][idx]
     for j in range(terms - 2, -1, -1):
@@ -160,7 +150,7 @@ def test_taylor_zone_is_bitwise_the_26_term_series():
     # rounded result as it was.
     from dsm2d.specfun import _ANCHORS, _taylor
 
-    lo, hi = MACLAURIN_CUTOFF, ASYMPTOTIC_CUTOFF
+    lo, hi = 0.0, ASYMPTOTIC_CUTOFF
     edges = np.concatenate([_ANCHORS - 0.25, _ANCHORS + 0.25])
     edges = np.concatenate([edges, np.nextafter(edges, -np.inf),
                             np.nextafter(edges, np.inf)])
@@ -168,6 +158,43 @@ def test_taylor_zone_is_bitwise_the_26_term_series():
                          np.random.default_rng(3).uniform(lo, hi, 600_000),
                          edges[(edges >= lo) & (edges <= hi)]])
     assert _taylor(ax).tobytes() == _taylor_reference(ax).tobytes()
+
+
+def test_every_taylor_anchor_is_reachable():
+    from dsm2d.specfun import _TAYLOR_J1
+
+    assert _TAYLOR_J1.shape[1] == np.rint(2.0 * ASYMPTOTIC_CUTOFF) + 1
+
+
+def _j1_maclaurin_45_digits(x: float) -> Decimal:
+    # sum_k (-1)^k (x/2)^(2k+1) / (k! (k+1)!), to 45 significant digits
+    with localcontext() as ctx:
+        ctx.prec = 45
+        half = Decimal(x) / 2
+        term = total = half
+        k = 1
+        while abs(term) > abs(total) * Decimal("1e-46"):
+            term = -term * half * half / (k * (k + 1))
+            total += term
+            k += 1
+        return total
+
+
+def test_j1_near_zero_is_within_two_ulp():
+    # The closed-form map sits at J1(0) = 0 at every center, so the
+    # arguments below 1.75 carry the paper's zero.
+    xs = np.concatenate([np.random.default_rng(17).uniform(0.0, 1.75, 20_000),
+                         np.logspace(-300.0, math.log10(1.75), 2_000,
+                                     endpoint=False)])
+    got = bessel_j1(xs)
+    worst_abs = worst_ulp = 0.0
+    for x, value in zip(xs.tolist(), got.tolist()):
+        exact = _j1_maclaurin_45_digits(x)
+        error = abs(Decimal(value) - exact)
+        worst_abs = max(worst_abs, float(error))
+        worst_ulp = max(worst_ulp, float(error / Decimal(np.spacing(float(exact)))))
+    assert worst_abs <= 2.0 ** -52
+    assert worst_ulp <= 2.0
 
 
 def test_j1_negative_arguments_are_bitwise_negated():
