@@ -72,11 +72,13 @@ def test_data_map_matches_scalar_indicator(ex1_data, demo_wave):
 
 
 @settings(max_examples=40, deadline=None)
-@given(count=st.one_of(st.integers(1, 70), st.sampled_from([129, 130, 255, 257])),
+@given(count=st.one_of(st.integers(1, 70), st.sampled_from(
+           [129, 130, 255, 257, 766, 768, 770, 1026, 1537])),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_folded_data_map_matches_scalar_indicator(count, seed, demo_wave):
-    # The fold pairs direction j with N - j; odd and even N, N = 1 and 2
-    # (no pairs) and folded widths past 128 all go through it.
+    # The fold takes direction m with its mirrors N - m, N/2 - m and
+    # N/2 + m; odd N, every N mod 4, N = 1 and 2 (no pairs) and inner
+    # widths on both sides of GEMM_CHUNK all go through it.
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-0.8, 0.8, (2, 2))
     if np.array_equal(centers[0], centers[1]):
@@ -271,9 +273,9 @@ def test_closed_form_pool_is_capped_at_the_cpu_count(monkeypatch, ex2_scene, dem
     assert unknown.values.tobytes() == serial
 
 # Hashes the data map of ex2 on grids 401 nodes wide whose row counts leave
-# a last band of 0, 1 and 2 rows, and on one grid shorter than a band, for
-# direction counts whose folded widths before padding (66, 128, 129, 151,
-# 513) straddle 128.
+# a last band of 0, 1 and 2 rows, on one grid shorter than a band and on one
+# 403 nodes wide (nx = 3 mod 4), for direction counts whose inner widths
+# (66, 256, 130, 152, 386, 386, 514, 1538) fall on both sides of GEMM_CHUNK.
 # The grids are wide enough for OpenBLAS to split each band product over threads.
 _BLAS_PROBE = """
 import hashlib
@@ -282,21 +284,25 @@ from dsm2d.forward import synthesize_far_field
 from dsm2d.imaging import BAND_ROWS, SearchGrid, compute_map
 from dsm2d.model import make_observation_set
 wave = example_wave()
-for count in (130, 255, 256, 300, 1024):
+for count in (130, 255, 256, 300, 768, 770, 1024, 1537):
     data = synthesize_far_field(example_scene("ex2"), wave, make_observation_set(count))
-    for ny in (2 * BAND_ROWS, 2 * BAND_ROWS + 1, 2 * BAND_ROWS + 2, BAND_ROWS // 2 + 1):
-        grid = SearchGrid(-12.5, 12.5, -1.0, -1.0 + (ny - 1) * 0.0625, 0.0625)
-        assert (grid.nx, grid.ny) == (401, ny)
+    for nx, ny in ((401, 2 * BAND_ROWS), (401, 2 * BAND_ROWS + 1),
+                   (401, 2 * BAND_ROWS + 2), (401, BAND_ROWS // 2 + 1),
+                   (403, 2 * BAND_ROWS + 1)):
+        grid = SearchGrid(-12.5, -12.5 + (nx - 1) * 0.0625,
+                          -1.0, -1.0 + (ny - 1) * 0.0625, 0.0625)
+        assert (grid.nx, grid.ny) == (nx, ny)
         values = compute_map(data, grid, wavenumber=wave.wavenumber).values
-        print(count, ny, hashlib.sha256(values.tobytes()).hexdigest())
+        print(count, nx, ny, hashlib.sha256(values.tobytes()).hexdigest())
 """
 
 
 def test_data_map_is_bit_invariant_under_blas_thread_count(fresh_python):
     single = fresh_python(_BLAS_PROBE, OPENBLAS_NUM_THREADS="1").splitlines()
-    assert [line.split()[:2] for line in single] == [
-        [str(count), ny] for count in (130, 255, 256, 300, 1024)
-        for ny in ("32", "33", "34", "9")]
+    assert [line.split()[:3] for line in single] == [
+        [str(count), nx, ny] for count in (130, 255, 256, 300, 768, 770, 1024, 1537)
+        for nx, ny in (("401", "32"), ("401", "33"), ("401", "34"), ("401", "9"),
+                       ("403", "33"))]
     assert fresh_python(_BLAS_PROBE, OPENBLAS_NUM_THREADS="2").splitlines() == single
 
 
@@ -446,6 +452,19 @@ def _tie_heavy_maps(draw):
 def test_extract_peaks_matches_padded_reference(imap, min_value, min_separation):
     _assert_same_peaks(extract_peaks(imap, min_value, min_separation),
                        _reference_peaks(imap, min_value, min_separation))
+
+
+def test_extract_peaks_row_neighbors_do_not_wrap():
+    # Row 1 is a plateau from the first column to the last; its peak, the
+    # first node, is preceded in flat order by row 0's higher last node. The
+    # peak at row 3's last node is followed in flat order by a higher node.
+    values = np.zeros((6, 5))
+    values[0, 4], values[1], values[3, 4], values[4, 0] = 1.0, 0.9, 0.7, 0.95
+    imap = IndicatorMap(grid=SearchGrid(0.0, 4.0, 0.0, 5.0, 1.0), values=values)
+    peaks = extract_peaks(imap, 0.5, 0.5)
+    assert [(p.position.tolist(), p.value) for p in peaks] == [
+        ([4.0, 0.0], 1.0), ([0.0, 4.0], 0.95), ([0.0, 1.0], 0.9), ([4.0, 3.0], 0.7)]
+    _assert_same_peaks(peaks, _reference_peaks(imap, 0.5, 0.5))
 
 
 def _columns(imap, lo, hi):
