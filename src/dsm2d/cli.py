@@ -99,11 +99,6 @@ def _scene_overrides(args) -> dict:
             if getattr(args, flag, None) is not None}
 
 
-def _noise_spec(args) -> NoiseSpec:
-    snr = args.snr_db if args.snr_db is not None else math.inf
-    return NoiseSpec(snr_db=snr, seed=args.seed)
-
-
 def _peak_entries(peaks) -> list:
     return [{"x": float(p.position[0]), "y": float(p.position[1]),
              "value": p.value} for p in peaks]
@@ -161,7 +156,7 @@ def _write_outputs(args, outputs: dict, *, far_field=None,
 def cmd_synthesize(args):
     cfg = load_scene_config(args.scene, overrides=_scene_overrides(args))
     scene, wave, obs = cfg["scene"], cfg["wave"], cfg["observations"]
-    spec = _noise_spec(args)
+    spec = NoiseSpec(snr_db=args.snr_db, seed=args.seed)
     yield
     data = add_noise(synthesize_far_field(scene, wave, obs), spec)
     warnings = validate_scene(scene, wave).entries
@@ -235,7 +230,7 @@ def cmd_example(args):
     scene, wave = example_scene(which), example_wave()
     grid = _data_map_grid(args.grid, args.num_dirs)
     obs = make_observation_set(args.num_dirs)
-    spec = _noise_spec(args)
+    spec = NoiseSpec(snr_db=args.snr_db, seed=args.seed)
     yield
     data = add_noise(synthesize_far_field(scene, wave, obs), spec)
     data_map, analytic_map, peaks_doc, prediction = _image_pipeline(
@@ -339,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--scene", required=True, help="scene JSON file")
     _add_wave_flags(p_syn)
     p_syn.add_argument("--num-dirs", type=_num_dirs, default=None)
-    p_syn.add_argument("--snr-db", type=_snr_db, default=None, dest="snr_db",
+    p_syn.add_argument("--snr-db", type=_snr_db, default=math.inf, dest="snr_db",
                        help="additive-noise SNR in dB (omit for noise-free)")
     p_syn.add_argument("--seed", type=_seed, default=0)
     _add_common_output_flags(p_syn)
@@ -367,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("which", choices=sorted(EXAMPLE_PERMEABILITIES))
     p_ex.add_argument("--num-dirs", type=_num_dirs,
                       default=DEFAULT_NUM_DIRECTIONS, dest="num_dirs")
-    p_ex.add_argument("--snr-db", type=_snr_db, default=None, dest="snr_db")
+    p_ex.add_argument("--snr-db", type=_snr_db, default=math.inf, dest="snr_db")
     p_ex.add_argument("--seed", type=_seed, default=0)
     _add_map_flags(p_ex)
     _add_peak_flags(p_ex)

@@ -179,18 +179,17 @@ def write_far_field(data: FarFieldData, csv_path, *,
     exact doubles.
     """
     csv_path = Path(csv_path)
-    lines = [CSV_HEADER]
-    for n, (theta, s) in enumerate(zip(data.observation_set.directions,
-                                       data.samples), start=1):
-        lines.append(f"{n},{theta[0]:.17g},{theta[1]:.17g},"
-                     f"{s.real:.17g},{s.imag:.17g}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    obs = data.observation_set
+    rows = np.column_stack([np.arange(1, obs.count + 1), obs.directions,
+                            data.samples.real, data.samples.imag])
+    np.savetxt(csv_path, rows, fmt="%.17g", delimiter=",", header=CSV_HEADER,
+               comments="")
 
-    meta = {"num_observation_directions": data.observation_set.count}
+    meta = {"num_observation_directions": obs.count}
     if wave is not None:
         meta["wavelength"] = wave.wavelength
     if scene is not None and wave is not None:
-        meta["scene"] = scene_config_document(scene, wave, data.observation_set)
+        meta["scene"] = scene_config_document(scene, wave, obs)
     if noise is not None:
         meta["noise"] = noise_document(noise)
     sidecar = csv_path.with_suffix(".json")
@@ -208,10 +207,10 @@ def read_far_field(csv_path):
         rows = csv_path.read_text().strip().splitlines()
         if not rows or rows[0] != CSV_HEADER:
             raise ValueError(f"expected header '{CSV_HEADER}'")
-        values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-        if values.shape[0] == 0:
+        if len(rows) == 1:
             raise ValueError("no samples")
-        if values.shape[1:] != (5,) or not np.all(np.isfinite(values)):
+        values = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
+        if values.shape[1] != 5 or not np.all(np.isfinite(values)):
             raise ValueError("every row needs 5 finite values")
         data = FarFieldData(values[:, 3] + 1j * values[:, 4])
         if not np.allclose(values[:, 1:3], data.observation_set.directions, atol=1e-12):

@@ -208,16 +208,14 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
         # |<psi, e(x_s)>| / (||psi|| ||e||), with e^{ik x cos} e^{ik y sin}.
         # Far from the origin k*x overflows to a NaN phase; the map check
         # reports that as non-finite values.
-        w = np.zeros((2, width, nx_padded, 2))  # (block, m, x, real/imag)
+        w = np.zeros((2 * width, nx_padded), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             phase_x = wavenumber * np.outer(cos_m, xs)
             c, s = np.cos(phase_x), np.sin(phase_x)
-            # W = [a C + i e S; i b C - f S], real and imaginary parts apart
-            for block, u, v in ((w[0], a, 1j * e), (w[1], 1j * b, -f)):
-                block[:, :grid.nx, 0] = u.real[:, None] * c + v.real[:, None] * s
-                block[:, :grid.nx, 1] = u.imag[:, None] * c + v.imag[:, None] * s
+            w[:width, :grid.nx] = a[:, None] * c + (1j * e)[:, None] * s
+            w[width:, :grid.nx] = (1j * b)[:, None] * c - f[:, None] * s
         del phase_x, c, s
-        w = w.reshape(2 * width, 2 * nx_padded)
+        w = w.view(float)
         chunks = [slice(lo, lo + GEMM_CHUNK) for lo in range(0, 2 * width, GEMM_CHUNK)]
         inv_denom = 1.0 / (norm_psi * math.sqrt(count))
         threads = 1  # BLAS threads each product already; a band pool is slower

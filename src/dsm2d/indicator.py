@@ -2,9 +2,10 @@
 
 The indicator correlates measured far-field samples against the test
 vector exp(-i*k*theta_n . x_s) at each sampling point x_s and normalizes
-by both norms, so its value lies in [0, 1]. For data following the
-small-inclusion expansion and enough observation directions, the sampled
-correlation collapses to a closed form: each inclusion contributes
+by both norms, so its value lies in [0, 1]; the per-point oracle
+``dsm_indicator_raw`` builds that test vector itself. For data following
+the small-inclusion expansion and enough observation directions, the
+sampled correlation collapses to a closed form: each inclusion contributes
 
     r_m^2 * (mu_0 / (mu_m + mu_0)) * exp(i k d.x_m)
         * ((x_m - x_s)/|x_m - x_s| . d) * J1(k |x_m - x_s|)
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import FarFieldData
-from .model import ObservationSet, Scene, WaveContext, contrast_factor
+from .model import Scene, WaveContext, contrast_factor
 from .specfun import J1_FIRST_MAX, bessel_j1
 
 
@@ -46,35 +47,21 @@ class PeakPrediction:
     offset_radius: float
 
 
-def inner_product(f: np.ndarray, g: np.ndarray) -> complex:
-    """Discrete inner product sum_n f[n] * conj(g[n])."""
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != g.shape or f.ndim != 1:
-        raise ValueError("inner_product needs two equal-length vectors")
-    return complex(np.sum(f * np.conj(g)))
-
-
-def test_vector(obs: ObservationSet, k: float, point) -> np.ndarray:
-    """Components exp(-i*k*theta_n . x_s); each has modulus one."""
-    if not (k > 0):
-        raise ValueError("wavenumber must be positive")
-    return np.exp(-1j * k * (obs.directions @ np.asarray(point, dtype=float)))
-
-
 def dsm_indicator_raw(data: FarFieldData, k: float, point) -> float:
-    """Normalized correlation |<psi, e>| / (||psi|| ||e||), in [0, 1].
+    """Normalized correlation |<psi, e>| / (||psi|| ||e||), in [0, 1], with
+    <f, g> = sum_n f[n] * conj(g[n]) and e_n = exp(-i*k*theta_n . x_s).
 
     Norms are sqrt of the self inner product, which is what makes the
     Cauchy-Schwarz bound (and hence the [0, 1] range) hold.
     """
     psi = data.samples
-    e = test_vector(data.observation_set, k, point)
-    denom = (math.sqrt(abs(inner_product(psi, psi)))
-             * math.sqrt(abs(inner_product(e, e))))
+    e = np.exp(-1j * k * (data.observation_set.directions
+                          @ np.asarray(point, dtype=float)))
+    denom = (math.sqrt(abs(np.sum(psi * np.conj(psi))))
+             * math.sqrt(abs(np.sum(e * np.conj(e)))))
     if denom == 0.0:
         raise ValueError("indicator undefined for all-zero data")
-    return abs(inner_product(psi, e)) / denom
+    return float(abs(np.sum(psi * np.conj(e)))) / denom
 
 
 def closed_form_magnitude(scene: Scene, wave: WaveContext, point) -> float:

@@ -213,30 +213,10 @@ def validate_scene(scene: Scene, wave: WaveContext) -> ValidationReport:
     return ValidationReport(entries=tuple(entries))
 
 
-def scene_from_document(doc: dict) -> dict:
-    """Build ``scene``, ``wave`` and ``observations`` from a document in the
-    :func:`scene_config_document` layout; ``ValueError`` on bad input."""
-    try:
-        inclusions = tuple(
-            Inhomogeneity(center=np.asarray(item["center"], dtype=float),
-                          radius=float(item["radius"]),
-                          permeability=float(item["permeability"]))
-            for item in doc["inclusions"])
-        scene = Scene(background_permeability=float(doc["background_permeability"]),
-                      inclusions=inclusions)
-        wave = WaveContext.from_degrees(float(doc["wavelength"]),
-                                        float(doc["incident_direction_degrees"]))
-        obs = make_observation_set(doc["num_observation_directions"])
-    except KeyError as exc:
-        raise ValueError(f"missing key {exc}") from exc
-    except (TypeError, OverflowError) as exc:  # OverflowError: float(10**400)
-        raise ValueError(f"malformed document: {exc}") from exc
-    return {"scene": scene, "wave": wave, "observations": obs}
-
-
 def load_scene_config(path, doc=None, overrides=None) -> dict:
-    """:func:`scene_from_document` on the JSON file at ``path``, or on
-    ``doc`` (a sidecar's scene, named by ``path``) when given.
+    """Build ``scene``, ``wave`` and ``observations`` from the JSON file at
+    ``path``, or from ``doc`` (a sidecar's scene, named by ``path``) when
+    given, in the :func:`scene_config_document` layout.
 
     ``overrides`` maps document keys to values written over the document
     first (the CLI's wave flags). Every ``ValueError`` reads
@@ -248,9 +228,23 @@ def load_scene_config(path, doc=None, overrides=None) -> dict:
                 doc = json.load(fh)
         if overrides and isinstance(doc, dict):
             doc = {**doc, **overrides}
-        return scene_from_document(doc)
+        inclusions = tuple(
+            Inhomogeneity(center=np.asarray(item["center"], dtype=float),
+                          radius=float(item["radius"]),
+                          permeability=float(item["permeability"]))
+            for item in doc["inclusions"])
+        scene = Scene(background_permeability=float(doc["background_permeability"]),
+                      inclusions=inclusions)
+        wave = WaveContext.from_degrees(float(doc["wavelength"]),
+                                        float(doc["incident_direction_degrees"]))
+        obs = make_observation_set(doc["num_observation_directions"])
+    except KeyError as exc:
+        raise ValueError(f"scene in {path}: missing key {exc}") from exc
+    except (TypeError, OverflowError) as exc:  # OverflowError: float(10**400)
+        raise ValueError(f"scene in {path}: malformed document: {exc}") from exc
     except ValueError as exc:  # also invalid JSON and undecodable bytes
         raise ValueError(f"scene in {path}: {exc}") from exc
+    return {"scene": scene, "wave": wave, "observations": obs}
 
 
 def scene_config_document(scene: Scene, wave: WaveContext, obs: ObservationSet) -> dict:

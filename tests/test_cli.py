@@ -371,12 +371,22 @@ def test_exit_2_lines_name_the_bad_input(tmp_path, scene_file, capsys):
         {"center": [0.7, 0.5], "radius": -1.0, "permeability": 5.0}]}))
     bad_csv = tmp_path / "rows.csv"
     bad_csv.write_text(csv.read_text().replace("\n2,", "\n2,x", 1))
+    # header only, a ragged row, a non-finite value, 255 of the 256 directions;
+    # numpy's wording differs between versions, so only the file name is matched
+    rows = csv.read_text().splitlines()
+    bad_csvs = [tmp_path / f"defect{i}.csv" for i in range(4)]
+    for path, defect in zip(bad_csvs, (
+            rows[:1], [*rows[:2], rows[2].rsplit(",", 1)[0], *rows[3:]],
+            [*rows[:2], rows[2].rsplit(",", 1)[0] + ",inf", *rows[3:]],
+            rows[:-1])):
+        path.write_text("\n".join(defect) + "\n")
     capsys.readouterr()
     out = tmp_path / "out"
     for argv, named in (
             (["synthesize", "--scene", str(bad_json)], bad_json),
             (["predict", "--scene", str(bad_scene), *COARSE], bad_scene),
-            (["image", "--data", str(bad_csv), *COARSE], bad_csv),
+            *((["image", "--data", str(path), *COARSE], path)
+              for path in [bad_csv, *bad_csvs]),
             (["image", "--data", str(tmp_path / "none.csv"), *COARSE],
              tmp_path / "none.csv")):
         assert main([*argv, "--out", str(out)]) == 2

@@ -284,3 +284,18 @@ def test_read_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_far_field(path)
+
+
+@pytest.mark.parametrize("count", [7, 130])
+def test_csv_rows_are_exact_17_digit_text(tmp_path, count):
+    rng = np.random.default_rng(count)
+    samples = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    samples[2] = complex(-0.0, -0.0)
+    data = FarFieldData(samples)
+    path = tmp_path / "farfield.csv"
+    write_far_field(data, path)
+    rows = [f"{n},{tx:.17g},{ty:.17g},{s.real:.17g},{s.imag:.17g}"
+            for n, ((tx, ty), s) in enumerate(
+                zip(data.observation_set.directions, data.samples), start=1)]
+    assert rows[2].endswith(",-0,-0")
+    assert path.read_text() == "\n".join(["n,theta_x,theta_y,re,im", *rows]) + "\n"

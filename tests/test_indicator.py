@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from dsm2d.forward import FarFieldData, contrast_factor, synthesize_far_field
-# test_vector is aliased so pytest does not collect it as a test function
-from dsm2d.indicator import test_vector as probe_vector
 from dsm2d.indicator import (PeakPrediction, closed_form_magnitude,
-                             dsm_indicator_raw, inner_product, predicted_peaks)
+                             dsm_indicator_raw, predicted_peaks)
 from dsm2d.model import (Inhomogeneity, Scene, WaveContext,
                          make_observation_set)
 from dsm2d.specfun import bessel_j1
@@ -32,49 +30,11 @@ def closed_form_residual(data, scene, wave, points) -> float:
     return float(np.max(np.abs(a / a.max() - b / b.max())))
 
 
-def test_inner_product_ones():
-    f = np.ones(8, dtype=complex)
-    assert inner_product(f, f) == pytest.approx(8.0, rel=1e-15)
-
-
-def test_inner_product_disjoint_support():
-    assert inner_product(np.array([1j, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-
-def test_inner_product_hand_value():
-    f = np.array([1.0, 1j])
-    g = np.array([1j, 1.0])
-    assert inner_product(f, g) == pytest.approx(0.0, abs=1e-16)
-
-
-def test_inner_product_rejects_mismatch():
-    with pytest.raises(ValueError):
-        inner_product(np.ones(3, dtype=complex), np.ones(4, dtype=complex))
-
-
-def test_test_vector_at_origin(obs256):
-    e = probe_vector(obs256, 5.0 * math.pi, np.array([0.0, 0.0]))
-    assert np.array_equal(e, np.ones(256, dtype=complex))
-
-
-def test_test_vector_single_direction():
-    obs = make_observation_set(1)
-    e = probe_vector(obs, 1.0, np.array([math.pi, 0.0]))
-    assert e[0] == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_test_vector_norm_is_sqrt_n(obs256):
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        point = rng.uniform(-2.0, 2.0, size=2)
-        e = probe_vector(obs256, 5.0 * math.pi, point)
-        assert np.linalg.norm(e) == pytest.approx(math.sqrt(256.0), rel=1e-12)
-
-
 def test_indicator_equality_case(obs256):
     point = np.array([0.25, -0.4])
     k = 5.0 * math.pi
-    data = FarFieldData((2.0 - 3.0j) * probe_vector(obs256, k, point))
+    data = FarFieldData((2.0 - 3.0j)
+                        * np.exp(-1j * k * (obs256.directions @ point)))
     assert dsm_indicator_raw(data, k, point) == pytest.approx(1.0, rel=1e-12)
 
 

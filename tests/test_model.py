@@ -10,7 +10,7 @@ from dsm2d.model import (DEFAULT_SEPARATION_THRESHOLD, MAX_DIRECTIONS,
                          Inhomogeneity,
                          ObservationSet, Scene, WaveContext,
                          load_scene_config, make_observation_set,
-                         scene_config_document, scene_from_document,
+                         scene_config_document,
                          validate_scene, wavenumber_from_wavelength)
 
 
@@ -119,6 +119,19 @@ def test_wave_context_rejects_non_finite_direction(direction):
         WaveContext(wavelength=1.0, incident_direction=np.array(direction))
 
 
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_wave_context_rejects_a_non_finite_angle(tmp_path, ex1_scene, demo_wave,
+                                                 obs256, angle):
+    with pytest.raises(ValueError, match="incident angle must be finite"):
+        WaveContext.from_degrees(0.4, angle)
+    # a scene file can hold the angle as JSON Infinity or NaN
+    doc = scene_config_document(ex1_scene, demo_wave, obs256)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({**doc, "incident_direction_degrees": angle}))
+    with pytest.raises(ValueError, match="scene.json: incident angle must be finite"):
+        load_scene_config(path)
+
+
 def test_inhomogeneity_validation():
     with pytest.raises(ValueError):
         Inhomogeneity(center=np.array([0.0, 0.0]), radius=0.0, permeability=5.0)
@@ -150,6 +163,13 @@ def test_scene_rejects_an_inclusion_weight_that_underflows():
     with pytest.raises(ValueError, match="underflows"):
         Scene(background_permeability=5e-324, inclusions=(inc,))
     Scene(background_permeability=1e-300, inclusions=(inc,))
+
+
+@pytest.mark.parametrize("mu0", [0.0, -1.0, math.nan])
+def test_scene_rejects_a_background_permeability_not_above_zero(mu0):
+    inc = Inhomogeneity(center=np.array([0.1, 0.2]), radius=0.05, permeability=3.0)
+    with pytest.raises(ValueError, match="background permeability must be positive"):
+        Scene(background_permeability=mu0, inclusions=(inc,))
 
 
 def test_scene_rejects_empty():
@@ -213,7 +233,7 @@ def test_scene_rejects_non_integral_direction_count(tmp_path, ex1_scene,
     doc = scene_config_document(ex1_scene, demo_wave, obs256)
     doc["num_observation_directions"] = count
     with pytest.raises(ValueError, match="direction count"):
-        scene_from_document(doc)
+        load_scene_config(tmp_path / "sidecar.json", doc)
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="scene.json: direction count"):
