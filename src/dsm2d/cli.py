@@ -84,7 +84,7 @@ def _parse_grid(spec: str) -> SearchGrid:
 def _data_map_grid(spec: str, count: int) -> SearchGrid:
     """``_parse_grid`` for a data map over ``count`` directions: N (nx + ny),
     a bound on the phases the map takes and so on the entries of its stored
-    matrix W (about N/2 x nx complex for even N, N x nx for odd N), must
+    matrix W (about min(N, N')/2 x nx complex, N' as in ``imaging``), must
     fit under ``MAX_GRID_NODES``."""
     grid = _parse_grid(spec)
     if count * (grid.nx + grid.ny) > MAX_GRID_NODES:

@@ -1,11 +1,25 @@
 """Search grids, indicator-map assembly, peak extraction, file export.
 
 Maps are evaluated over a rectangular node grid and normalized by their
-grid maximum. Both sweeps run over fixed bands of ``BAND_ROWS`` rows:
-elementwise for the closed form, one fixed-shape matrix product for the
-data map. The closed form can map its bands over a thread pool; the data
-map always runs them serially, since BLAS threads each product. Every map
+grid maximum. The closed form runs elementwise over bands of ``BAND_ROWS``
+rows and can map them over a thread pool. The data map runs one
+fixed-shape matrix product per band, always serially, since BLAS threads
+each product; its bands hold at most ``DATA_BAND_ROWS`` rows and about
+``DATA_BAND_VALUES`` complex outputs (4 MB), in equal heights. Every map
 is bit-identical for any worker count and any BLAS thread count.
+
+The data map first limits the far field to the grid's bandwidth. By
+Jacobi-Anger the test function e^{ik theta.z} has Fourier modes
+i^m J_m(k|z|) e^{-im phi} (phi the polar angle of z), below 1e-16 for
+|m| > L over the whole grid, with L = ``bessel_tail_order(kR)`` and R
+the largest distance from the origin to a grid corner. So the N-point
+sum sees only the data's modes |m| <= L, and once N >= N' = 2L + 2
+(rounded up to a multiple of 4) it equals, to rounding, the same sum over
+N' samples of the data's trigonometric interpolant truncated to those
+modes: c = fft(psi) / N with direction N at angle 0, c_m for |m| <= L put
+at index m mod N', then ifft * N'. The map is normalized by its maximum,
+so N / N' drops out. Below N' the sum aliases and the N samples are used
+as they are.
 
 The data map folds the mirror-symmetric direction set. Direction N - m is
 direction m with sin theta negated; for even N, N/2 - m and N/2 + m negate
@@ -15,15 +29,19 @@ theta_m, and 0 in a slot whose direction an earlier slot already holds.
 With a = psi1 + psi2 + psi3 + psi4, b = psi1 - psi2 + psi3 - psi4,
 e = psi1 + psi2 - psi3 - psi4, f = psi1 - psi2 - psi3 + psi4, C = cos(k x c)
 and S = sin(k x c), the correlation is
-``cos(k y s) @ (a C + i e S) + sin(k y s) @ (i b C - f S)``. W, the two
-complex blocks stacked, is built once per map; a band's correlation is
-the real product ``[cos | sin](k y s) @ W.view(float)`` viewed as complex:
-half the flops of the unfolded complex sum for even N. Two rules, measured
-with OpenBLAS 0.3.31 (Haswell kernels) at 1 and 2 threads, keep its bits
-independent of the thread count: W's nx complex columns are zero-padded to
-a multiple of 4 (at 802 real output columns the last 2 differed), and the
-inner dimension is cut into ``GEMM_CHUNK``-wide pieces whose products are
-summed in order (from an inner width of 396 up, products differed).
+``cos(k y s) @ (a C + i e S) + sin(k y s) @ (i b C - f S)``. For even N,
+W, the two complex blocks stacked, is built once per map; a band's
+correlation is the real product ``[cos | sin](k y s) @ W.view(float)``
+viewed as complex: half the flops of the unfolded complex sum. For odd N,
+psi3 = psi4 = 0 makes e = a and f = b, so W is the one block C + i S and
+the data go to the rows: g = a cos(k y s) + i b sin(k y s), and the band
+is ``[Re g; Im g] @ W.view(float)`` recombined as Re-part + i Im-part.
+Two rules, measured with OpenBLAS 0.3.31 (Haswell kernels) at 1 and 2
+threads, keep the bits independent of the thread count: W's nx complex
+columns are zero-padded to a multiple of 4 (at 802 real output columns
+the last 2 differed), and the inner dimension is cut into
+``GEMM_CHUNK``-wide pieces whose products are summed in order (from an
+inner width of 396 up, products differed).
 
 Exports: CSV (``x,y,value`` per node, exact ``%.17g`` digits from integer
 arithmetic, streamed per band) and PGM (P5, 16-bit big-endian, top = y_max).
@@ -39,12 +57,16 @@ from pathlib import Path
 import numpy as np
 
 from .forward import FarFieldData, unit_scaled
-from .model import Scene, WaveContext, contrast_factor
-from .specfun import bessel_j1
+from .model import ObservationSet, Scene, WaveContext, contrast_factor
+from .specfun import bessel_j1, bessel_tail_order
 
 GRID_EPS = 1e-9  # guards node counting against FP drift in (max-min)/step
 BAND_ROWS = 16  # map rows per work unit: vectorized, temporaries stay small
 GEMM_CHUNK = 384  # widest inner dimension of one data-map product, see module doc
+DATA_BAND_ROWS = 128  # most map rows in one data-map band, see module doc
+DATA_BAND_VALUES = 2 ** 18  # most complex outputs of one data-map band (4 MB)
+PEAK_TIE = 2.0 ** -45  # neighbors this close, relative to the map's maximum, tie
+BAND_FLOOR = 1e-12  # least share of the far field's norm kept by the resample
 MAX_GRID_NODES = 10 ** 8  # 25x a 2001 x 2001 grid; a map of it is 800 MB
 
 # Tables for exact %.17g, built from bytes so byte order does not matter:
@@ -160,6 +182,25 @@ def _analytic_band_values(scene: Scene, wave: WaveContext, weights: np.ndarray,
     return np.abs(total)
 
 
+def _band_limited(psi: np.ndarray, order: int, count: int) -> np.ndarray:
+    """``count`` samples, at directions 1..count, of the trigonometric
+    interpolant of ``psi`` truncated to the modes |m| <= ``order``.
+
+    Direction n sits at index n - 1 and direction N at angle 0, hence the
+    rolls. Raises ``ValueError`` when those modes hold at most
+    ``BAND_FLOOR`` of the far field's norm: a map of them would show only
+    rounding (and the direct sum little more than the modes' 1e-16 tail).
+    """
+    coeffs = np.fft.fft(np.roll(psi, 1)) / psi.size
+    kept = np.zeros(count, dtype=complex)
+    kept[:order + 1] = coeffs[:order + 1]
+    kept[count - order:] = coeffs[psi.size - order:]
+    if np.linalg.norm(kept) <= BAND_FLOOR * np.linalg.norm(coeffs):
+        raise ValueError(f"far field has no energy at the modes |m| <= {order} "
+                         "that the grid resolves; the map would show only rounding")
+    return np.roll(np.fft.ifft(kept) * count, -1)
+
+
 def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
                 threads: int = 1) -> IndicatorMap:
     """Evaluate the indicator at every grid node, then grid-max normalize.
@@ -177,6 +218,10 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
         it and runs serially: BLAS already threads its band products. The
         output is bit-identical for every thread count and every BLAS
         thread count.
+
+    Raises ``ValueError`` for all-zero data, for data with no energy at
+    the modes the grid resolves (``_band_limited``), and for a map that
+    is all zero or not finite.
     """
     xs = grid.x_nodes()
     ys = grid.y_nodes()
@@ -186,13 +231,25 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
             raise ValueError("a positive wavenumber is required with data sources")
         # an exact power of two: the same map bits, no over- or underflow
         psi, _ = unit_scaled(source.samples)
-        norm_psi = float(np.linalg.norm(psi))
-        if norm_psi == 0.0:
+        if not np.any(psi):
             raise ValueError("indicator undefined for all-zero data")
+        count = source.observation_set.count
+        directions = source.observation_set.directions
+        # Resample to the grid's bandwidth (module doc). L > kR, so only
+        # N >= 2 kR + 2 can reach N' = 2L + 2, and only then is L sought.
+        kr = wavenumber * max(math.hypot(x, y) for x in (xs[0], xs[-1])
+                              for y in (ys[0], ys[-1]))
+        if count >= 2.0 * kr + 2.0:
+            order = bessel_tail_order(kr)
+            resampled = -(-(2 * order + 2) // 4) * 4
+            if count >= resampled:
+                psi = _band_limited(psi, order, resampled)
+                count = resampled
+                directions = ObservationSet(count).directions
+        norm_psi = float(np.linalg.norm(psi))
         # Fold column m with its three mirrors as the module docstring says;
         # direction n sits at index n - 1 (mod N). For odd N the x-mirror
         # slots repeat slots 1 and 2, so they are zeroed as duplicates.
-        count = source.observation_set.count
         mirror = count // 2 if count % 2 == 0 else 0
         m = np.arange(count // (4 if mirror else 2) + 1)
         slots = np.stack([m, -m, mirror - m, mirror + m]) % count
@@ -202,44 +259,60 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
         p1, p2, p3, p4 = np.where(distinct, psi[slots - 1], 0.0)
         s12, d12, s34, d34 = p1 + p2, p1 - p2, p3 + p4, p3 - p4
         a, e, b, f = s12 + s34, s12 - s34, d12 + d34, d12 - d34
-        cos_m, sin_m = source.observation_set.directions[m - 1].T
+        cos_m, sin_m = directions[m - 1].T
         width = m.size
         nx_padded = -(-grid.nx // 4) * 4  # see module doc
+        # at most DATA_BAND_ROWS rows and about DATA_BAND_VALUES products a
+        # band, in bands of equal height so the shifted last one repeats little
+        bands = -(-grid.ny // min(DATA_BAND_ROWS,
+                                  max(BAND_ROWS, DATA_BAND_VALUES // nx_padded)))
+        rows = -(-grid.ny // bands)
         # |<psi, e(x_s)>| / (||psi|| ||e||), with e^{ik x cos} e^{ik y sin}.
         # Far from the origin k*x overflows to a NaN phase; the map check
         # reports that as non-finite values.
-        w = np.zeros((2 * width, nx_padded), dtype=complex)
+        w = np.zeros((2 * width if mirror else width, nx_padded), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             phase_x = wavenumber * np.outer(cos_m, xs)
             c, s = np.cos(phase_x), np.sin(phase_x)
-            w[:width, :grid.nx] = a[:, None] * c + (1j * e)[:, None] * s
-            w[width:, :grid.nx] = (1j * b)[:, None] * c - f[:, None] * s
+            if mirror:
+                w[:width, :grid.nx] = a[:, None] * c + (1j * e)[:, None] * s
+                w[width:, :grid.nx] = (1j * b)[:, None] * c - f[:, None] * s
+            else:  # e = a, f = b: one block C + i S, the data go to the rows
+                w[:, :grid.nx] = c + 1j * s
         del phase_x, c, s
         w = w.view(float)
-        chunks = [slice(lo, lo + GEMM_CHUNK) for lo in range(0, 2 * width, GEMM_CHUNK)]
+        chunks = [slice(lo, lo + GEMM_CHUNK) for lo in range(0, w.shape[0], GEMM_CHUNK)]
         inv_denom = 1.0 / (norm_psi * math.sqrt(count))
         threads = 1  # BLAS threads each product already; a band pool is slower
 
         def unit(iy: int) -> np.ndarray:
-            # The last band is shifted back to BAND_ROWS rows: a 1-row product
+            # The last band is shifted back to a full band: a 1-row product
             # rounds differently under different BLAS thread counts.
-            lo = max(0, min(iy, grid.ny - BAND_ROWS))
+            lo = min(iy, grid.ny - rows)
             with np.errstate(over="ignore", invalid="ignore"):
-                phase_y = wavenumber * np.outer(ys[lo:lo + BAND_ROWS], sin_m)
-                y = np.concatenate([np.cos(phase_y), np.sin(phase_y)], axis=1)
+                phase_y = wavenumber * np.outer(ys[lo:lo + rows], sin_m)
+                if mirror:
+                    y = np.concatenate([np.cos(phase_y), np.sin(phase_y)], axis=1)
+                else:
+                    g = a * np.cos(phase_y) + (1j * b) * np.sin(phase_y)
+                    y = np.concatenate([g.real, g.imag])
             corr = y[:, chunks[0]] @ w[chunks[0]]
             for chunk in chunks[1:]:  # summed in order, see module doc
                 corr += y[:, chunk] @ w[chunk]
-            return np.abs(corr.view(complex)[iy - lo:, :grid.nx]) * inv_denom
+            corr = corr.view(complex)
+            if not mirror:  # (Re g) @ E + i (Im g) @ E
+                corr = corr[:rows] + 1j * corr[rows:]
+            return np.abs(corr[iy - lo:, :grid.nx]) * inv_denom
     else:
         scene, wave = source
         weights = _closed_form_weights(scene, wave)
 
-        def unit(iy: int) -> np.ndarray:
-            return _analytic_band_values(scene, wave, weights, xs,
-                                         ys[iy:iy + BAND_ROWS])
+        rows = BAND_ROWS
 
-    starts = range(0, grid.ny, BAND_ROWS)
+        def unit(iy: int) -> np.ndarray:
+            return _analytic_band_values(scene, wave, weights, xs, ys[iy:iy + rows])
+
+    starts = range(0, grid.ny, rows)
     values = np.empty((grid.ny, grid.nx))
     # pool.map submits every band at once, so the pool would start `threads`
     # OS threads if there are that many bands
@@ -248,10 +321,10 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
         from concurrent.futures import ThreadPoolExecutor  # ~6 ms to import
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for iy, res in zip(starts, pool.map(unit, starts)):
-                values[iy:iy + BAND_ROWS] = res
+                values[iy:iy + rows] = res
     else:
         for iy in starts:
-            values[iy:iy + BAND_ROWS] = unit(iy)
+            values[iy:iy + rows] = unit(iy)
 
     peak = values.max()
     if peak == 0.0:
@@ -264,16 +337,19 @@ def extract_peaks(indicator_map: IndicatorMap, min_value: float,
                   min_separation: float) -> list:
     """Strict 8-neighborhood local maxima, thinned to a minimum spacing.
 
-    Strictness is taken under the total order (value, row, col): an exact
-    value tie between neighbors is broken toward the earlier node. Peaks
-    whose true location falls mid-cell produce two nodes whose doubles
-    can tie exactly, and a plain value-strict test would silently drop
-    both; the tie-break keeps exactly one. A candidate must still exceed
-    at least one neighbor by value, so constant maps yield no peaks.
+    Values within ``PEAK_TIE`` times the map's maximum of each other are
+    tied: rounding decides nothing. Strictness is taken under the order
+    (value, row, col), a tie between neighbors going to the earlier node.
+    Peaks whose true location falls mid-cell produce two nodes that tie in
+    exact arithmetic, and a plain value-strict test could drop both or keep
+    whichever rounding favours; the tie-break keeps exactly the first. A
+    candidate must still exceed at least one neighbor beyond a tie, so
+    constant maps yield no peaks.
 
     Candidates at or above ``min_value`` are kept greedily in order of
-    descending value (ties broken by row, then column), dropping any
-    within ``min_separation`` of an already-kept peak.
+    descending value, values tied in a chain taken by row, then column,
+    dropping any within ``min_separation`` of an already-kept peak. Each
+    peak reports its node's exact value.
     """
     if not (0.0 < min_value < 1.0):
         raise ValueError("min_value must lie in (0, 1)")
@@ -281,15 +357,18 @@ def extract_peaks(indicator_map: IndicatorMap, min_value: float,
         raise ValueError("min_separation must be positive")
     v = indicator_map.values
     ny, nx = v.shape
-    # Candidates: at or above min_value and not below either row neighbor,
-    # which every peak satisfies; the full test runs on these alone. The
-    # flat neighbors of columns 0 and nx - 1 lie on other rows: not tested.
     flat = v.ravel()
     idx = np.flatnonzero(flat >= min_value)
+    if idx.size == 0:
+        return []
     rows, cols = np.divmod(idx, nx)
     here = flat[idx]
-    cand = ((cols == 0) | (here >= flat.take(idx - 1, mode="clip"))) & (
-        (cols == nx - 1) | (here >= flat.take(idx + 1, mode="clip")))
+    tie = PEAK_TIE * here.max()  # the map's maximum, which is at least min_value
+    # Candidates: not below either row neighbor beyond a tie, which every
+    # peak satisfies; the full test runs on these alone. The flat neighbors
+    # of columns 0 and nx - 1 lie on other rows: not tested.
+    cand = ((cols == 0) | (here >= flat.take(idx - 1, mode="clip") - tie)) & (
+        (cols == nx - 1) | (here >= flat.take(idx + 1, mode="clip") - tie))
     rows, cols, here = rows[cand], cols[cand], here[cand]
     dominates = np.ones(rows.size, dtype=bool)
     exceeds_one = np.zeros(rows.size, dtype=bool)
@@ -300,13 +379,16 @@ def extract_peaks(indicator_map: IndicatorMap, min_value: float,
             r, c = rows + di, cols + dj
             inside = (r >= 0) & (r < ny) & (c >= 0) & (c < nx)
             there = v[np.clip(r, 0, ny - 1), np.clip(c, 0, nx - 1)]
-            # >= against a later node in (row, col) order, > against an earlier
-            beats = here >= there if (di, dj) > (0, 0) else here > there
+            # a tie beats a later node in (row, col) order, not an earlier one
+            beats = here >= there - tie if (di, dj) > (0, 0) else here > there + tie
             dominates &= beats | ~inside
-            exceeds_one |= (here > there) & inside
+            exceeds_one |= (here > there + tie) & inside
     keep = dominates & exceeds_one
-    rows, cols = rows[keep], cols[keep]
-    order = np.lexsort((cols, rows, -v[rows, cols]))
+    rows, cols, here = rows[keep], cols[keep], here[keep]
+    order = np.argsort(-here, kind="stable")
+    # a drop beyond a tie from the next larger value starts a new group
+    group = np.cumsum(np.diff(here[order], prepend=np.inf) < -tie)
+    order = order[np.lexsort((cols[order], rows[order], group))]
     rows, cols = rows[order], cols[order]
     xs = indicator_map.grid.x_nodes()[cols]
     ys = indicator_map.grid.y_nodes()[rows]

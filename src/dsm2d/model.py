@@ -114,6 +114,8 @@ class WaveContext:
     wavelength: float
     incident_direction: np.ndarray
     wavenumber: float = field(init=False)
+    # the angle in degrees that from_degrees built the direction from, else None
+    incident_angle_deg: float = field(init=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "wavenumber", wavenumber_from_wavelength(self.wavelength))
@@ -130,7 +132,9 @@ class WaveContext:
         if not math.isfinite(angle_deg):  # math.cos(inf) says "domain error"
             raise ValueError(f"incident angle must be finite, got {angle_deg!r}")
         ang = math.radians(angle_deg)
-        return cls(wavelength, np.array([math.cos(ang), math.sin(ang)]))
+        wave = cls(wavelength, np.array([math.cos(ang), math.sin(ang)]))
+        object.__setattr__(wave, "incident_angle_deg", float(angle_deg))
+        return wave
 
 
 @dataclass(frozen=True)
@@ -248,9 +252,16 @@ def load_scene_config(path, doc=None, overrides=None) -> dict:
 
 
 def scene_config_document(scene: Scene, wave: WaveContext, obs: ObservationSet) -> dict:
-    """Inverse of :func:`load_scene_config`: domain objects to a JSON document."""
-    angle = math.degrees(math.atan2(wave.incident_direction[1],
-                                    wave.incident_direction[0]))
+    """Inverse of :func:`load_scene_config`: domain objects to a JSON document.
+
+    The incident angle is the one the wave was built from, so a reload
+    gives the same direction bit for bit; a wave built from a direction
+    gets that direction's polar angle.
+    """
+    angle = wave.incident_angle_deg
+    if angle is None:
+        angle = math.degrees(math.atan2(wave.incident_direction[1],
+                                        wave.incident_direction[0]))
     return {
         "background_permeability": scene.background_permeability,
         "inclusions": [

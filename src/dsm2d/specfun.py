@@ -19,6 +19,9 @@ Self-contained double-precision J1 (no scipy). Two zones:
 
 J0 appears only in the quadrature oracle below.
 
+``bessel_tail_order`` finds where the orders J_m(x) fall below a tail
+level, by Miller's backward recurrence; it shares no code with J1 either.
+
 An independent trapezoid-rule quadrature of the integral representation
 
     J_n(x) = (1/pi) * integral_0^pi cos(n*tau - x*sin(tau)) dtau
@@ -35,6 +38,7 @@ on 22,000 points; the absolute error is well under 1e-10 for |x| <= 1000
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -44,6 +48,10 @@ ASYMPTOTIC_CUTOFF = 18.25
 _ANCHORS = np.arange(np.rint(2.0 * ASYMPTOTIC_CUTOFF) + 1) / 2.0  # 0.0 .. 18.0
 _TAYLOR_TERMS = 16
 _ASYMPTOTIC_TERMS = 15  # terms of P and Q each
+
+TAIL = 1e-16  # bessel_tail_order's level: below it a Bessel order is dropped
+_LOG_START_BOUND = math.log(1e-40)  # bessel_tail_order starts where J_M is below this
+_RESCALE = 2.0 ** 500
 
 # Location of the first maximum of J1 as commonly tabulated to 4 decimals
 # (the true extremum is at 1.84118378...). The 4-digit value is used for
@@ -190,3 +198,38 @@ def bessel_j_oracle(order: int, x: float, panels: int = 4096) -> float:
     weights[0] = weights[-1] = 0.5
     return float(np.dot(weights, f) * (np.pi / panels) / np.pi)
 
+
+# ---------------------------------------------------------------------------
+# Tail order
+# ---------------------------------------------------------------------------
+
+def bessel_tail_order(x: float) -> int:
+    """Smallest order L >= 0 with |J_L(x)| <= 1e-16 and |J_{L+1}(x)| <= 1e-16.
+
+    For finite x >= 0. Miller's backward recurrence
+    J_{m-1} = (2m/x) J_m - J_{m+1} runs from J_{M+1} = 0, J_M = 1 down to
+    J_0, with M the first order where the bound |J_M(x)| <= (x/2)^M / M!
+    (DLMF 10.14.4) is below 1e-40, and is normalized by
+    J_0 + 2 sum_k J_{2k} = 1 (DLMF 10.12.4). Values past 2^500 are scaled down by 2^-500, so nothing
+    overflows; L > x, and the work is O(M), M about 1.4 x for large x.
+    """
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"need a finite x >= 0, got {x!r}")
+    if x <= 2.0 * TAIL:  # |J_1| <= x/2 and |J_2| <= x^2/8 lie within TAIL; J_0 does not
+        return 1
+    log_half, log_bound, top = math.log(x / 2.0), 0.0, 0
+    while log_bound > _LOG_START_BOUND:  # M >= 3, since x/2 > TAIL
+        top += 1
+        log_bound += log_half - math.log(top)
+    values = np.empty(top + 1)
+    shifts = np.empty(top + 1, dtype=np.int64)  # values[m] is J_m * 2**-shifts[m]
+    prev, cur, shift = 0.0, 1.0, 0
+    for m in range(top, -1, -1):
+        values[m], shifts[m] = cur, shift
+        prev, cur = cur, 2.0 * m / x * cur - prev
+        if abs(cur) > _RESCALE:
+            prev, cur, shift = prev / _RESCALE, cur / _RESCALE, shift + 500
+    values = np.ldexp(values, shifts - shift)  # the last scale; tiny orders go to 0
+    small = np.append(np.abs(values) <= TAIL * abs(values[0] + 2.0 * values[2::2].sum()),
+                      True)  # J_{top+1}, below 1e-40
+    return int(np.flatnonzero(small[:-1] & small[1:])[0])

@@ -127,6 +127,37 @@ def test_image_all_zero_data_exits_1(tmp_path):
             assert not out.exists()
 
 
+def test_image_of_data_above_the_grid_bandwidth_exits_1(tmp_path, capsys):
+    # Every sample alternates in sign: all the energy sits at mode N/2 = 128,
+    # far above the L = 55 that the default grid resolves at this wavelength.
+    from dsm2d.forward import FarFieldData, write_far_field
+    from dsm2d.model import WaveContext
+
+    nyquist = FarFieldData((-1.0) ** np.arange(1, 257))
+    write_far_field(nyquist, tmp_path / "farfield.csv",
+                    wave=WaveContext.from_degrees(0.4, 45.0))
+    out = tmp_path / "img"
+    assert main(["image", "--data", str(tmp_path / "farfield.csv"),
+                 "--out", str(out)]) == 1
+    assert "no energy at the modes |m| <= 55" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_synthesize_writes_the_incident_angle_it_was_given(tmp_path, scene_file):
+    # 270 degrees used to be written as atan2's -90.00000000000001, whose
+    # direction differs from the data's in the last bit
+    from dsm2d.model import WaveContext, load_scene_config
+
+    out = tmp_path / "syn"
+    assert main(["synthesize", "--scene", str(scene_file), "--incident-deg", "270",
+                 "--out", str(out)]) == 0
+    sidecar = json.loads((out / "farfield.json").read_text())
+    assert sidecar["scene"]["incident_direction_degrees"] == 270.0
+    wave = load_scene_config(out / "farfield.json", sidecar["scene"])["wave"]
+    assert wave.incident_direction.tobytes() == \
+        WaveContext.from_degrees(0.4, 270.0).incident_direction.tobytes()
+
+
 def test_image_without_wavelength_exits_2(tmp_path, scene_file):
     data_dir = tmp_path / "data"
     assert main(["synthesize", "--scene", str(scene_file),

@@ -8,14 +8,15 @@ from hypothesis.extra.numpy import arrays
 from dsm2d.cli import example_scene
 from dsm2d.forward import (FarFieldData, NoiseSpec, add_noise, contrast_factor,
                            synthesize_far_field, unit_scaled)
-from dsm2d.imaging import (BAND_ROWS, MAX_GRID_NODES, IndicatorMap, Peak,
-                           SearchGrid, _analytic_band_values,
+from dsm2d import imaging
+from dsm2d.imaging import (BAND_ROWS, MAX_GRID_NODES, PEAK_TIE, IndicatorMap,
+                           Peak, SearchGrid, _analytic_band_values,
                            _closed_form_weights, _value_words, compute_map,
                            export_map, extract_peaks)
 from dsm2d.indicator import (closed_form_magnitude, dsm_indicator_raw,
                              predicted_peaks)
 from dsm2d.model import Inhomogeneity, Scene, make_observation_set
-from dsm2d.specfun import bessel_j1
+from dsm2d.specfun import bessel_j1, bessel_tail_order
 
 
 def test_grid_node_counts(default_grid):
@@ -92,6 +93,101 @@ def test_folded_data_map_matches_scalar_indicator(count, seed, demo_wave):
                        for x in grid.x_nodes()] for y in grid.y_nodes()])
     imap = compute_map(data, grid, wavenumber=k)
     assert np.allclose(imap.values, brute / brute.max(), rtol=0.0, atol=1e-12)
+
+
+def _resampled_count(grid, k):
+    # N' for a grid: 2L + 2 rounded up to a multiple of 4, L the tail order of kR
+    radius = max(np.hypot(x, y) for x in (grid.x_min, grid.x_nodes()[-1])
+                 for y in (grid.y_min, grid.y_nodes()[-1]))
+    return -(-(2 * bessel_tail_order(k * radius) + 2) // 4) * 4
+
+
+def _direct_map(data, grid, k):
+    # the N-point sum as it is: no tail order can reach N' <= N
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(imaging, "bessel_tail_order", lambda x: 10 ** 9)
+        return compute_map(data, grid, wavenumber=k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), extra=st.integers(0, 10 ** 6),
+       snr=st.sampled_from([np.inf, 40.0, 20.0, 0.0]),
+       grid=st.sampled_from([SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.1),
+                             SearchGrid(0.2, 2.0, -0.6, 1.4, 0.1)]))
+def test_resampled_data_map_matches_the_direct_sum(seed, extra, snr, grid,
+                                                   demo_wave):
+    # N from N' to 4N', odd N included, noise down to 0 dB, a centred grid
+    # and one whose far corner sets R.
+    k = demo_wave.wavenumber
+    n_prime = _resampled_count(grid, k)
+    count = n_prime + extra % (3 * n_prime + 1)
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-0.8, 0.8, (int(rng.integers(1, 4)), 2))
+    scene = Scene(1.0, tuple(Inhomogeneity(c, 0.05, rng.uniform(1.5, 10.0))
+                             for c in centers))
+    data = add_noise(synthesize_far_field(scene, demo_wave, make_observation_set(count)),
+                     NoiseSpec(snr_db=snr, seed=seed))
+    resampled = compute_map(data, grid, wavenumber=k).values
+    assert np.max(np.abs(resampled - _direct_map(data, grid, k).values)) <= 1e-14
+
+
+def test_resample_starts_at_n_prime(ex1_scene, demo_wave):
+    # Below N' the N samples are used as they are, for even and odd N;
+    # from N' on the map changes by rounding only.
+    grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.1)
+    k = demo_wave.wavenumber
+    n_prime = _resampled_count(grid, k)
+    assert n_prime == 112  # kR = 22.2 gives L = 55
+    for count in (n_prime - 2, n_prime - 1, n_prime):
+        data = synthesize_far_field(ex1_scene, demo_wave, make_observation_set(count))
+        got, direct = compute_map(data, grid, wavenumber=k), _direct_map(data, grid, k)
+        if count < n_prime:
+            assert got.values.tobytes() == direct.values.tobytes()
+        else:
+            assert 0.0 < np.max(np.abs(got.values - direct.values)) <= 1e-14
+
+
+def test_resampled_ex1_map_keeps_its_peaks(ex1_data, ex1_data_map, demo_wave,
+                                           default_grid):
+    direct = _direct_map(ex1_data, default_grid, demo_wave.wavenumber)
+    assert np.max(np.abs(direct.values - ex1_data_map.values)) <= 1e-14
+    got, want = (extract_peaks(m, 0.5, 0.05) for m in (ex1_data_map, direct))
+    assert [p.position.tolist() for p in got] == [p.position.tolist() for p in want]
+
+
+@pytest.mark.parametrize("count", [64, 101, 256])
+def test_data_map_bits_do_not_depend_on_the_band_height(count, ex2_scene, demo_wave):
+    # 401 x 301 nodes: three bands of 101 rows or 19 of BAND_ROWS, the last
+    # shifted back either way; even N below N' (64), odd N below N' (101)
+    # and resampled N (256) give the same bits.
+    grid = SearchGrid(-1.0, 1.0, -1.0, 0.5, 0.005)
+    assert (grid.nx, grid.ny) == (401, 301)
+    data = synthesize_far_field(ex2_scene, demo_wave, make_observation_set(count))
+    k = demo_wave.wavenumber
+    wide = compute_map(data, grid, wavenumber=k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(imaging, "DATA_BAND_ROWS", BAND_ROWS)
+        narrow = compute_map(data, grid, wavenumber=k)
+    assert wide.values.tobytes() == narrow.values.tobytes()
+
+
+@pytest.mark.parametrize("pattern", ["nyquist", "mode 100"])
+def test_far_field_above_the_grid_bandwidth_is_rejected(pattern, demo_wave):
+    # On the default grid L = 55: data whose modes all lie above L would
+    # give a map of rounding, so the resampled map refuses them. Below N'
+    # (N = 64) the sum aliases them into the grid's band and maps them.
+    grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.05)
+    k = demo_wave.wavenumber
+    for count in (256, 64):
+        n = np.arange(1, count + 1)
+        samples = ((-1.0) ** n if pattern == "nyquist"
+                   else np.exp(2j * np.pi * 100 * n / count))
+        data = FarFieldData(samples)
+        if count >= _resampled_count(grid, k):
+            with pytest.raises(ValueError, match=r"no energy at the modes \|m\| <= 55"):
+                compute_map(data, grid, wavenumber=k)
+        else:
+            assert compute_map(data, grid, wavenumber=k).values.max() == 1.0
 
 
 def _scalar_closed_form_map(scene, wave, grid):
@@ -272,11 +368,12 @@ def test_closed_form_pool_is_capped_at_the_cpu_count(monkeypatch, ex2_scene, dem
     assert asked == [2]
     assert unknown.values.tobytes() == serial
 
-# Hashes the data map of ex2 on grids 401 nodes wide whose row counts leave
-# a last band of 0, 1 and 2 rows, on one grid shorter than a band and on one
-# 403 nodes wide (nx = 3 mod 4), for direction counts whose inner widths
-# (66, 256, 130, 152, 386, 386, 514, 1538) fall on both sides of GEMM_CHUNK.
-# The grids are wide enough for OpenBLAS to split each band product over threads.
+# Hashes the data map of ex2 on grids 401 nodes wide with 32, 33, 34 and 9
+# rows and on one 403 nodes wide (nx = 3 mod 4), each one data-map band, for
+# direction counts whose inner widths are 66, 128 (odd N, one block), 130
+# and 152, and 264 or 266 for the counts resampled to N' = 524 or 528. The
+# grids are wide enough for OpenBLAS to split each band product over
+# threads; _WIDE_BLAS_PROBE covers inner widths above GEMM_CHUNK.
 _BLAS_PROBE = """
 import hashlib
 from dsm2d.cli import example_scene, example_wave
@@ -304,6 +401,33 @@ def test_data_map_is_bit_invariant_under_blas_thread_count(fresh_python):
         for nx, ny in (("401", "32"), ("401", "33"), ("401", "34"), ("401", "9"),
                        ("403", "33"))]
     assert fresh_python(_BLAS_PROBE, OPENBLAS_NUM_THREADS="2").splitlines() == single
+
+
+# Hashes the data map of ex2 on a 401 x 301 grid reaching 50 from the
+# origin (kR = 785, L = 885, N' = 1772), in three bands of 101 rows, the
+# last shifted back by 2: even N below N' with inner widths 386 and 514,
+# odd N below N' with one-block widths 384 and 513, and N = 2048
+# resampled to N' (inner width 888).
+_WIDE_BLAS_PROBE = """
+import hashlib
+from dsm2d.cli import example_scene, example_wave
+from dsm2d.forward import synthesize_far_field
+from dsm2d.imaging import SearchGrid, compute_map
+from dsm2d.model import make_observation_set
+wave = example_wave()
+grid = SearchGrid(-40.0, 40.0, -30.0, 30.0, 0.2)
+assert (grid.nx, grid.ny) == (401, 301)
+for count in (767, 768, 1025, 1026, 2048):
+    data = synthesize_far_field(example_scene("ex2"), wave, make_observation_set(count))
+    values = compute_map(data, grid, wavenumber=wave.wavenumber).values
+    print(count, hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_wide_grid_data_map_is_bit_invariant_under_blas_thread_count(fresh_python):
+    single = fresh_python(_WIDE_BLAS_PROBE, OPENBLAS_NUM_THREADS="1").splitlines()
+    assert [line.split()[0] for line in single] == ["767", "768", "1025", "1026", "2048"]
+    assert fresh_python(_WIDE_BLAS_PROBE, OPENBLAS_NUM_THREADS="2").splitlines() == single
 
 
 def test_import_leaves_the_thread_pool_unloaded(fresh_python):
@@ -342,7 +466,10 @@ def test_demo_map_peak_census(ex1_analytic_map, default_grid):
     peaks = extract_peaks(ex1_analytic_map, min_value=0.5, min_separation=0.05)
     assert len(peaks) == 4
     top_positions = sorted((p.position[0], p.position[1]) for p in peaks[:2])
-    expected = [(0.615, 0.42), (0.78, 0.585)]  # nearest grid nodes
+    # Each peak lies mid-way between two diagonal nodes that tie in exact
+    # arithmetic (mirror images across the line through the center along
+    # d); the tie goes to the earlier node in (row, col) order.
+    expected = [(0.62, 0.415), (0.785, 0.58)]
     for got, want in zip(top_positions, expected):
         assert np.allclose(got, want, atol=1e-12)
     for got, want in zip(top_positions, [(0.6171, 0.4171), (0.7829, 0.5829)]):
@@ -369,7 +496,9 @@ def test_peaks_dominate_neighbors(ex1_analytic_map, default_grid):
         j = int(round((peak.position[0] - xs[0]) / default_grid.step))
         i = int(round((peak.position[1] - ys[0]) / default_grid.step))
         assert values[i, j] == peak.value
-        # every neighbor is smaller, or ties with a later (row, col) node
+        # every neighbor is smaller beyond a tie, or ties with a later
+        # (row, col) node
+        tie = PEAK_TIE * values.max()
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
                 if di == 0 and dj == 0:
@@ -377,8 +506,8 @@ def test_peaks_dominate_neighbors(ex1_analytic_map, default_grid):
                 ni, nj = i + di, j + dj
                 if 0 <= ni < values.shape[0] and 0 <= nj < values.shape[1]:
                     neighbor = values[ni, nj]
-                    assert neighbor < peak.value or (
-                        neighbor == peak.value
+                    assert neighbor < peak.value - tie or (
+                        abs(neighbor - peak.value) <= tie
                         and (di > 0 or (di == 0 and dj > 0)))
 
 
@@ -397,8 +526,10 @@ def test_peak_thinning_keeps_strongest():
 
 def _reference_peaks(indicator_map, min_value, min_separation):
     # Independent oracle: each node against all 8 neighbors of a map padded
-    # with -inf (for dominance) and +inf (so borders never count as exceeded).
+    # with -inf (for dominance) and +inf (so borders never count as exceeded),
+    # values within PEAK_TIE * max of each other tied.
     v = indicator_map.values
+    tie = PEAK_TIE * v.max()
     lo = np.full((v.shape[0] + 2, v.shape[1] + 2), -np.inf)
     lo[1:-1, 1:-1] = v
     hi = np.full_like(lo, np.inf)
@@ -413,17 +544,24 @@ def _reference_peaks(indicator_map, min_value, min_separation):
                       slice(1 + dj, 1 + dj + v.shape[1]))
             node_precedes = di > 0 or (di == 0 and dj > 0)
             if node_precedes:
-                dominates &= v >= lo[window]
+                dominates &= v >= lo[window] - tie
             else:
-                dominates &= v > lo[window]
-            exceeds_one |= v > hi[window]
+                dominates &= v > lo[window] + tie
+            exceeds_one |= v > hi[window] + tie
     rows, cols = np.nonzero(dominates & exceeds_one & (v >= min_value))
-    order = np.lexsort((cols, rows, -v[rows, cols]))
+    # descending value; a run of values each within a tie of the one
+    # before is one group, taken in (row, col) order
+    by_value = sorted(zip(rows.tolist(), cols.tolist()), key=lambda rc: -v[rc])
+    groups = []
+    for rc in by_value:
+        if groups and v[groups[-1][-1]] - v[rc] <= tie:
+            groups[-1].append(rc)
+        else:
+            groups.append([rc])
     xs = indicator_map.grid.x_nodes()
     ys = indicator_map.grid.y_nodes()
     kept = []
-    for idx in order:
-        i, j = int(rows[idx]), int(cols[idx])
+    for i, j in (rc for group in groups for rc in sorted(group)):
         pos = np.array([xs[j], ys[i]])
         if all(np.hypot(*(pos - p.position)) >= min_separation for p in kept):
             kept.append(Peak(position=pos, value=float(v[i, j])))
@@ -435,14 +573,34 @@ def _assert_same_peaks(got, want):
         [(p.position.tolist(), p.value) for p in want]
 
 
+def _ulp_perturbed(values, ulps):
+    # each value moved by its own count of ulps, as rounding would move it
+    out = values.copy()
+    for _ in range(int(np.abs(ulps).max(initial=0))):
+        step = ulps != 0
+        out[step] = np.nextafter(out[step], np.sign(ulps[step]) * np.inf)
+        ulps = ulps - np.sign(ulps)
+    return out
+
+
 @st.composite
-def _tie_heavy_maps(draw):
+def _tie_heavy_levels(draw):
     ny, nx = draw(st.integers(2, 12)), draw(st.integers(2, 12))
     levels = draw(st.lists(st.sampled_from([0.0, 0.2, 0.45, 0.5, 0.7, 1.0]),
                            min_size=3, max_size=4, unique=True))
     values = draw(arrays(float, (ny, nx), elements=st.sampled_from(levels)))
+    ulps = draw(arrays(np.int64, (ny, nx), elements=st.integers(-4, 4)))
     grid = SearchGrid(0.0, (nx - 1) * 0.1, 0.0, (ny - 1) * 0.1, 0.1)
     assert (grid.nx, grid.ny) == (nx, ny)
+    return grid, values, ulps
+
+
+@st.composite
+def _tie_heavy_maps(draw):
+    # level maps with exact ties, as drawn or moved by a few ulps
+    grid, values, ulps = draw(_tie_heavy_levels())
+    if draw(st.booleans()):
+        values = _ulp_perturbed(values, ulps)
     return IndicatorMap(grid=grid, values=values)
 
 
@@ -452,6 +610,18 @@ def _tie_heavy_maps(draw):
 def test_extract_peaks_matches_padded_reference(imap, min_value, min_separation):
     _assert_same_peaks(extract_peaks(imap, min_value, min_separation),
                        _reference_peaks(imap, min_value, min_separation))
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels=_tie_heavy_levels(), min_value=st.sampled_from([0.01, 0.3, 0.6, 0.99]),
+       min_separation=st.sampled_from([0.05, 0.1, 0.15, 0.35]))
+def test_ulp_moves_do_not_move_peaks(levels, min_value, min_separation):
+    # a few ulps decide no tie, so the peaks keep their nodes and order
+    grid, values, ulps = levels
+    exact = extract_peaks(IndicatorMap(grid, values), min_value, min_separation)
+    moved = extract_peaks(IndicatorMap(grid, _ulp_perturbed(values, ulps)),
+                          min_value, min_separation)
+    assert [p.position.tolist() for p in moved] == [p.position.tolist() for p in exact]
 
 
 def test_extract_peaks_row_neighbors_do_not_wrap():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsm2d.model import (DEFAULT_SEPARATION_THRESHOLD, MAX_DIRECTIONS,
                          Inhomogeneity,
@@ -225,6 +226,44 @@ def test_scene_json_round_trip(tmp_path, ex3_scene, demo_wave, obs256):
         assert np.array_equal(orig.center, loaded.center)
         assert orig.radius == loaded.radius
         assert orig.permeability == loaded.permeability
+
+
+_COORDINATES = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angle=st.one_of(st.integers(-7200, 7200).map(lambda i: i / 10.0),
+                       st.floats(-1e300, 1e300, allow_nan=False),
+                       st.sampled_from([270.0, -90.0, 405.0, -0.0, 5e-324])),
+       wavelength=st.floats(1e-3, 1e3), count=st.integers(1, 4096),
+       background=st.floats(0.1, 10.0),
+       disks=st.lists(st.tuples(_COORDINATES, _COORDINATES, st.floats(1e-3, 1.0),
+                                st.floats(0.01, 100.0)),
+                      min_size=1, max_size=4, unique_by=lambda t: (t[0], t[1])))
+def test_scene_document_round_trips_bitwise(angle, wavelength, count, background,
+                                            disks):
+    # Through JSON text and back: the same direction bits (the angle is
+    # written as given, not recomputed from d), centers, radii,
+    # permeabilities, wavelength and N.
+    scene = Scene(background, tuple(Inhomogeneity(np.array([x, y]), r, mu)
+                                    for x, y, r, mu in disks))
+    wave = WaveContext.from_degrees(wavelength, angle)
+    text = json.dumps(scene_config_document(scene, wave, ObservationSet(count)),
+                      allow_nan=False)
+    cfg = load_scene_config("scene.json", json.loads(text))
+    loaded, back = cfg["scene"], cfg["wave"]
+    assert back.incident_direction.tobytes() == wave.incident_direction.tobytes()
+    assert back.wavelength == wavelength and cfg["observations"].count == count
+    assert loaded.background_permeability == background
+    assert [(i.center.tobytes(), i.radius, i.permeability) for i in loaded.inclusions] \
+        == [(i.center.tobytes(), i.radius, i.permeability) for i in scene.inclusions]
+
+
+def test_a_wave_built_from_a_direction_writes_its_polar_angle(ex1_scene, obs256):
+    wave = WaveContext(0.4, np.array([0.0, -1.0]))
+    assert wave.incident_angle_deg is None
+    doc = scene_config_document(ex1_scene, wave, obs256)
+    assert doc["incident_direction_degrees"] == -90.0
 
 
 @pytest.mark.parametrize("count", [2.5, 256.0, "256", 0, None, True])

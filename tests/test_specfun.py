@@ -6,7 +6,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from dsm2d.specfun import ASYMPTOTIC_CUTOFF, bessel_j1, bessel_j_oracle
+from dsm2d.specfun import (ASYMPTOTIC_CUTOFF, bessel_j1, bessel_j_oracle,
+                           bessel_tail_order)
 
 # J1(1.8412) frozen from bessel_j_oracle(1, 1.8412, 1 << 16); the argument
 # is the tabulated location of J1's first maximum.
@@ -207,3 +208,52 @@ def test_j1_negative_arguments_are_bitwise_negated():
     assert got[2:].tobytes() == np.array([-bessel_j1(2.5), bessel_j1(2.5),
                                           -bessel_j1(30.0)]).tobytes()
     assert math.copysign(1.0, bessel_j1(-0.0)) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Tail order
+# ---------------------------------------------------------------------------
+
+def _jn_series(order: int, x: float) -> Decimal:
+    # sum_k (-1)^k (x/2)^(2k+n) / (k! (k+n)!) with enough digits that the
+    # cancellation of terms up to e^x leaves 20 or more below 1e-16
+    with localcontext() as ctx:
+        ctx.prec = int(0.44 * x) + 40
+        half = Decimal(x) / 2
+        term = half ** order / math.factorial(order)
+        total, k = term, 1
+        while k <= x or abs(term) > Decimal("1e-60"):
+            term = -term * half * half / (k * (k + order))
+            total += term
+            k += 1
+        return total
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 3.7, 10.0, 22.2, 35.6, 44.4, 71.3,
+                               100.0, 150.5, 200.0])
+def test_tail_order_is_the_first_order_past_the_tail(x):
+    # |J_L| and |J_{L+1}| are at most 1e-16 and |J_{L-1}| is not, by an
+    # exact series. Near 1e-16 the quadrature oracle is off by a few 1e-16
+    # (the phase n tau - x sin tau rounds), so it checks the series at an
+    # order where J is large instead.
+    order = bessel_tail_order(x)
+    tail = [abs(_jn_series(m, x)) for m in (order - 1, order, order + 1)]
+    assert tail[0] > Decimal("1e-16") >= max(tail[1:])
+    mid = round(x / 2)
+    assert abs(float(_jn_series(mid, x)) - bessel_j_oracle(mid, x, 8192)) < 1e-12
+
+
+def test_tail_order_of_tiny_and_large_arguments():
+    # J_0 stays near 1 while J_1 <= x/2 and J_2 fall under the tail: L = 1
+    for x in (0.0, 5e-324, 1e-300, 2e-16):
+        assert bessel_tail_order(x) == 1
+    assert bessel_tail_order(3e-16) == 2
+    # L - x grows like x^(1/3); the 2^-500 rescaling keeps every value finite
+    for x in (1e3, 1e4):
+        assert x < bessel_tail_order(x) < x + 12.0 * x ** (1 / 3)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+def test_tail_order_rejects_bad_arguments(bad):
+    with pytest.raises(ValueError):
+        bessel_tail_order(bad)
