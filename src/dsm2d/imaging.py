@@ -1,12 +1,11 @@
 """Search grids, indicator-map assembly, peak extraction, file export.
 
 Maps are evaluated over a rectangular node grid and normalized by their
-grid maximum. The closed form runs elementwise over bands of ``BAND_ROWS``
-rows and can map them over a thread pool. The data map runs one
-fixed-shape matrix product per band, always serially, since BLAS threads
-each product; its bands hold at most ``DATA_BAND_ROWS`` rows and about
-``DATA_BAND_VALUES`` complex outputs (4 MB), in equal heights. Every map
-is bit-identical for any worker count and any BLAS thread count.
+grid maximum. Both sweeps run over bands of ``BAND_ROWS`` rows. The
+closed form runs elementwise and can map its bands over a thread pool.
+The data map runs one fixed-shape matrix product per band, always
+serially, since BLAS threads each product. Every map is bit-identical for
+any worker count and any BLAS thread count.
 
 The data map first limits the far field to the grid's bandwidth. By
 Jacobi-Anger the test function e^{ik theta.z} has Fourier modes
@@ -63,8 +62,6 @@ from .specfun import bessel_j1, bessel_tail_order
 GRID_EPS = 1e-9  # guards node counting against FP drift in (max-min)/step
 BAND_ROWS = 16  # map rows per work unit: vectorized, temporaries stay small
 GEMM_CHUNK = 384  # widest inner dimension of one data-map product, see module doc
-DATA_BAND_ROWS = 128  # most map rows in one data-map band, see module doc
-DATA_BAND_VALUES = 2 ** 18  # most complex outputs of one data-map band (4 MB)
 PEAK_TIE = 2.0 ** -45  # neighbors this close, relative to the map's maximum, tie
 BAND_FLOOR = 1e-12  # least share of the far field's norm kept by the resample
 MAX_GRID_NODES = 10 ** 8  # 25x a 2001 x 2001 grid; a map of it is 800 MB
@@ -225,6 +222,7 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     """
     xs = grid.x_nodes()
     ys = grid.y_nodes()
+    rows = min(BAND_ROWS, grid.ny)
 
     if isinstance(source, FarFieldData):
         if wavenumber is None or not (wavenumber > 0):
@@ -262,11 +260,6 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
         cos_m, sin_m = directions[m - 1].T
         width = m.size
         nx_padded = -(-grid.nx // 4) * 4  # see module doc
-        # at most DATA_BAND_ROWS rows and about DATA_BAND_VALUES products a
-        # band, in bands of equal height so the shifted last one repeats little
-        bands = -(-grid.ny // min(DATA_BAND_ROWS,
-                                  max(BAND_ROWS, DATA_BAND_VALUES // nx_padded)))
-        rows = -(-grid.ny // bands)
         # |<psi, e(x_s)>| / (||psi|| ||e||), with e^{ik x cos} e^{ik y sin}.
         # Far from the origin k*x overflows to a NaN phase; the map check
         # reports that as non-finite values.
@@ -306,8 +299,6 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     else:
         scene, wave = source
         weights = _closed_form_weights(scene, wave)
-
-        rows = BAND_ROWS
 
         def unit(iy: int) -> np.ndarray:
             return _analytic_band_values(scene, wave, weights, xs, ys[iy:iy + rows])

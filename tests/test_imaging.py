@@ -78,8 +78,11 @@ def test_data_map_matches_scalar_indicator(ex1_data, demo_wave):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_folded_data_map_matches_scalar_indicator(count, seed, demo_wave):
     # The fold takes direction m with its mirrors N - m, N/2 - m and
-    # N/2 + m; odd N, every N mod 4, N = 1 and 2 (no pairs) and inner
-    # widths on both sides of GEMM_CHUNK all go through it.
+    # N/2 + m; odd N, every N mod 4, N = 1 and 2 (no pairs), and inner
+    # widths on both sides of GEMM_CHUNK (several chunks from 129 up, for
+    # both the even fold and the odd one-block fold) all go through it.
+    # Every count stays below N': 112 on the small grid; the counts from
+    # 129 up use a 5 x 4 grid reaching 50 from the origin, where N' = 1772.
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-0.8, 0.8, (2, 2))
     if np.array_equal(centers[0], centers[1]):
@@ -87,8 +90,10 @@ def test_folded_data_map_matches_scalar_indicator(count, seed, demo_wave):
     scene = Scene(1.0, tuple(Inhomogeneity(c, 0.05, rng.uniform(1.5, 10.0))
                              for c in centers))
     data = synthesize_far_field(scene, demo_wave, make_observation_set(count))
-    grid = SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.25)
+    grid = (SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.25) if count <= 70
+            else SearchGrid(-40.0, 40.0, -30.0, 30.0, 20.0))
     k = demo_wave.wavenumber
+    assert count < _resampled_count(grid, k)
     brute = np.array([[dsm_indicator_raw(data, k, np.array([x, y]))
                        for x in grid.x_nodes()] for y in grid.y_nodes()])
     imap = compute_map(data, grid, wavenumber=k)
@@ -157,17 +162,17 @@ def test_resampled_ex1_map_keeps_its_peaks(ex1_data, ex1_data_map, demo_wave,
 
 @pytest.mark.parametrize("count", [64, 101, 256])
 def test_data_map_bits_do_not_depend_on_the_band_height(count, ex2_scene, demo_wave):
-    # 401 x 301 nodes: three bands of 101 rows or 19 of BAND_ROWS, the last
+    # 401 x 301 nodes: 19 bands of BAND_ROWS or three of 101 rows, the last
     # shifted back either way; even N below N' (64), odd N below N' (101)
     # and resampled N (256) give the same bits.
     grid = SearchGrid(-1.0, 1.0, -1.0, 0.5, 0.005)
     assert (grid.nx, grid.ny) == (401, 301)
     data = synthesize_far_field(ex2_scene, demo_wave, make_observation_set(count))
     k = demo_wave.wavenumber
-    wide = compute_map(data, grid, wavenumber=k)
+    narrow = compute_map(data, grid, wavenumber=k)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(imaging, "DATA_BAND_ROWS", BAND_ROWS)
-        narrow = compute_map(data, grid, wavenumber=k)
+        patch.setattr(imaging, "BAND_ROWS", 101)
+        wide = compute_map(data, grid, wavenumber=k)
     assert wide.values.tobytes() == narrow.values.tobytes()
 
 
@@ -368,12 +373,13 @@ def test_closed_form_pool_is_capped_at_the_cpu_count(monkeypatch, ex2_scene, dem
     assert asked == [2]
     assert unknown.values.tobytes() == serial
 
-# Hashes the data map of ex2 on grids 401 nodes wide with 32, 33, 34 and 9
-# rows and on one 403 nodes wide (nx = 3 mod 4), each one data-map band, for
-# direction counts whose inner widths are 66, 128 (odd N, one block), 130
-# and 152, and 264 or 266 for the counts resampled to N' = 524 or 528. The
-# grids are wide enough for OpenBLAS to split each band product over
-# threads; _WIDE_BLAS_PROBE covers inner widths above GEMM_CHUNK.
+# Hashes the data map of ex2 on grids 401 nodes wide whose 32, 33 and 34
+# rows leave a last band of 0, 1 and 2 rows, on one of 9 rows (shorter than
+# a band) and on one 403 nodes wide (nx = 3 mod 4), for direction counts
+# whose inner widths are 66, 128 (odd N, one block), 130 and 152, and 264
+# or 266 for the counts resampled to N' = 524 or 528. The grids are wide
+# enough for OpenBLAS to split each band product over threads;
+# _WIDE_BLAS_PROBE covers inner widths above GEMM_CHUNK.
 _BLAS_PROBE = """
 import hashlib
 from dsm2d.cli import example_scene, example_wave
@@ -404,8 +410,8 @@ def test_data_map_is_bit_invariant_under_blas_thread_count(fresh_python):
 
 
 # Hashes the data map of ex2 on a 401 x 301 grid reaching 50 from the
-# origin (kR = 785, L = 885, N' = 1772), in three bands of 101 rows, the
-# last shifted back by 2: even N below N' with inner widths 386 and 514,
+# origin (kR = 785, L = 885, N' = 1772), in 19 bands of 16 rows, the last
+# shifted back by 3: even N below N' with inner widths 386 and 514,
 # odd N below N' with one-block widths 384 and 513, and N = 2048
 # resampled to N' (inner width 888).
 _WIDE_BLAS_PROBE = """
