@@ -2,7 +2,9 @@
 
 Maps are evaluated over a rectangular node grid and normalized by their
 grid maximum. Both sweeps run over bands of ``BAND_ROWS`` rows. The
-closed form runs elementwise and can map its bands over a thread pool.
+closed form runs elementwise, cuts each band into column tiles of at most
+``BAND_NODES`` (inclusion, node) terms, and can map its tiles over a
+thread pool.
 The data map runs one fixed-shape matrix product per band, always
 serially, since BLAS threads each product. Every map is bit-identical for
 any worker count and any BLAS thread count.
@@ -48,6 +50,7 @@ arithmetic, streamed per band) and PGM (P5, 16-bit big-endian, top = y_max).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -61,6 +64,7 @@ from .specfun import bessel_j1, bessel_tail_order
 
 GRID_EPS = 1e-9  # guards node counting against FP drift in (max-min)/step
 BAND_ROWS = 16  # map rows per work unit: vectorized, temporaries stay small
+BAND_NODES = 2 ** 16  # closed-form terms per work unit: 16 rows x 401 x 10 inclusions
 GEMM_CHUNK = 384  # widest inner dimension of one data-map product, see module doc
 PEAK_TIE = 2.0 ** -45  # neighbors this close, relative to the map's maximum, tie
 BAND_FLOOR = 1e-12  # least share of the far field's norm kept by the resample
@@ -210,8 +214,9 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     grid : SearchGrid
     wavenumber : float, required for a FarFieldData source
     threads : int
-        Worker threads for the closed-form sweep, which maps over bands of
-        ``BAND_ROWS`` rows, capped at the CPU count. The data map ignores
+        Worker threads for the closed-form sweep, which maps over tiles of
+        ``BAND_ROWS`` rows and at most ``BAND_NODES`` terms, capped at the
+        CPU count. The data map ignores
         it and runs serially: BLAS already threads its band products. The
         output is bit-identical for every thread count and every BLAS
         thread count.
@@ -223,6 +228,7 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     xs = grid.x_nodes()
     ys = grid.y_nodes()
     rows = min(BAND_ROWS, grid.ny)
+    cols = grid.nx  # the data map's bands are whole rows
 
     if isinstance(source, FarFieldData):
         if wavenumber is None or not (wavenumber > 0):
@@ -278,7 +284,8 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
         inv_denom = 1.0 / (norm_psi * math.sqrt(count))
         threads = 1  # BLAS threads each product already; a band pool is slower
 
-        def unit(iy: int) -> np.ndarray:
+        def unit(tile: tuple) -> np.ndarray:
+            iy = tile[0]
             # The last band is shifted back to a full band: a 1-row product
             # rounds differently under different BLAS thread counts.
             lo = min(iy, grid.ny - rows)
@@ -299,23 +306,33 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     else:
         scene, wave = source
         weights = _closed_form_weights(scene, wave)
+        # the (n_inc, rows, cols) temporaries of a tile stay within BAND_NODES
+        cols = max(1, BAND_NODES // (rows * weights.size))
 
-        def unit(iy: int) -> np.ndarray:
-            return _analytic_band_values(scene, wave, weights, xs, ys[iy:iy + rows])
+        def unit(tile: tuple) -> np.ndarray:
+            iy, lo = tile
+            return _analytic_band_values(scene, wave, weights, xs[lo:lo + cols],
+                                         ys[iy:iy + rows])
 
-    starts = range(0, grid.ny, rows)
     values = np.empty((grid.ny, grid.nx))
-    # pool.map submits every band at once, so the pool would start `threads`
-    # OS threads if there are that many bands
+
+    def fill(tile: tuple) -> None:
+        iy, lo = tile
+        values[iy:iy + rows, lo:lo + cols] = unit(tile)
+
+    # band by band, each band left to right
+    tiles = itertools.product(range(0, grid.ny, rows), range(0, grid.nx, cols))
+    # pool.map submits every tile at once, so the pool would start `threads`
+    # OS threads if there are that many tiles
     threads = min(threads, os.cpu_count() or 1)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # ~6 ms to import
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for iy, res in zip(starts, pool.map(unit, starts)):
-                values[iy:iy + rows] = res
+            for _ in pool.map(fill, tiles):  # each result re-raises its tile's error
+                pass
     else:
-        for iy in starts:
-            values[iy:iy + rows] = unit(iy)
+        for tile in tiles:
+            fill(tile)
 
     peak = values.max()
     if peak == 0.0:

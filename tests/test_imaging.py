@@ -340,6 +340,29 @@ def test_map_thread_count_is_bit_invariant(ex1_data, ex2_scene, demo_wave):
         assert len(blobs) == 1
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_closed_form_column_tiles_keep_the_untiled_bits(threads, monkeypatch,
+                                                        ex3_scene, demo_wave):
+    # 1601 columns x 16 rows x 3 inclusions is 76,848 terms a band: each
+    # band is cut into two tiles of 1365 and 236 columns.
+    grid = SearchGrid(-4.0, 4.0, -0.2, 0.2, 0.005)
+    assert (grid.nx, grid.ny) == (1601, 81)
+    sizes = []
+
+    def counted_j1(x):
+        sizes.append(x.size)
+        return bessel_j1(x)
+
+    monkeypatch.setattr(imaging, "bessel_j1", counted_j1)
+    tiled = compute_map((ex3_scene, demo_wave), grid, threads=threads)
+    assert len(sizes) == 2 * 6 and max(sizes) <= imaging.BAND_NODES
+    monkeypatch.setattr(imaging, "BAND_NODES", 10 ** 9)
+    sizes.clear()
+    untiled = compute_map((ex3_scene, demo_wave), grid, threads=1)
+    assert len(sizes) == 6
+    assert tiled.values.tobytes() == untiled.values.tobytes()
+
+
 
 def test_closed_form_pool_is_capped_at_the_cpu_count(monkeypatch, ex2_scene, demo_wave):
     # A serial stand-in records the pool size and starts no thread.

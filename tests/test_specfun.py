@@ -1,10 +1,12 @@
 """Bessel implementations against the independent quadrature oracle."""
 
+import functools
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dsm2d.specfun import (ASYMPTOTIC_CUTOFF, bessel_j1, bessel_j_oracle,
                            bessel_tail_order)
@@ -97,11 +99,14 @@ def test_derivative_identity():
         assert abs(j0_prime + bessel_j1(x)) < 1e-8
 
 
-def test_import_keeps_the_callers_decimal_precision(fresh_python):
-    # The 50-digit Taylor tables are built in a local decimal context.
-    probe = ("import decimal; decimal.getcontext().prec = 7; import dsm2d; "
-             "print(decimal.getcontext().prec)")
-    assert fresh_python(probe).strip() == "7"
+def test_import_builds_no_table_and_imports_no_decimal(fresh_python):
+    # The Taylor table is built on the first J1 call, in double-double
+    # arithmetic: importing the package does neither.
+    probe = ("import sys; import dsm2d; from dsm2d import specfun; "
+             "print('decimal' in sys.modules, specfun._taylor_table.cache_info().currsize); "
+             "specfun.bessel_j1(1.0); "
+             "print('decimal' in sys.modules, specfun._taylor_table.cache_info().currsize)")
+    assert fresh_python(probe).split() == ["False", "0", "False", "1"]
 
 
 def test_j1_at_huge_arguments_is_finite_and_warning_free():
@@ -120,51 +125,135 @@ def test_global_bounds():
     assert np.all(np.abs(bessel_j1(xs)) <= 0.59)
 
 
-def test_taylor_zone_matches_row_gather_horner_bitwise():
-    # Reference: Horner over a gathered (n, terms) coefficient matrix.
-    from dsm2d.specfun import _ANCHORS, _TAYLOR_J1, _taylor
+# ---------------------------------------------------------------------------
+# The Taylor table against a decimal reference
+# ---------------------------------------------------------------------------
 
-    ax = np.random.default_rng(11).uniform(0.0, ASYMPTOTIC_CUTOFF, size=5000)
-    idx = np.rint(2.0 * ax).astype(int)
-    coeffs = _TAYLOR_J1.T[idx]
+def _taylor_coeffs_j1(a: Decimal, j1a: Decimal, dj1a: Decimal, count: int):
+    # t^m coefficient of (a+t)^2 y'' + (a+t) y' + ((a+t)^2 - 1) y = 0:
+    #   a^2 (m+2)(m+1) c_{m+2} + a(m+1)(2m+1) c_{m+1}
+    #     + (m^2 + a^2 - 1) c_m + 2a c_{m-1} + c_{m-2} = 0,
+    # which at a = 0 reads (m^2 - 1) c_m + c_{m-2} = 0: the Maclaurin series.
+    c = [j1a, dj1a]
+    for m in range(count - 2):
+        if a == 0:
+            c.append(-c[m] / ((m + 1) * (m + 3)))
+            continue
+        prev1 = c[m - 1] if m >= 1 else Decimal(0)
+        prev2 = c[m - 2] if m >= 2 else Decimal(0)
+        c.append(-(a * (m + 1) * (2 * m + 1) * c[m + 1]
+                   + (m * m + a * a - 1) * c[m]
+                   + 2 * a * prev1 + prev2)
+                 / (a * a * (m + 2) * (m + 1)))
+    return c
+
+
+@functools.cache
+def _reference_table(terms: int) -> np.ndarray:
+    # The package's anchors a = i/8 up to 48, each coefficient the double
+    # nearest its 64-digit value. J1(a) and J1'(a) come from 240 Maclaurin
+    # terms: the first one left out is below 1e-60 at a = 48, where the sum
+    # cancels about 20 of the 64 digits.
+    table = np.empty((terms, 8 * int(ASYMPTOTIC_CUTOFF) + 1))
+    with localcontext() as ctx:
+        ctx.prec = 64
+        series = _taylor_coeffs_j1(Decimal(0), Decimal(0), Decimal(1) / 2, 240)
+        for col in range(table.shape[1]):
+            a = Decimal(col) / 8
+            q = a * a
+            j1a = dj1a = Decimal(0)
+            for m in range(len(series) - 1, 0, -2):  # J1 is odd: Horner in a^2
+                j1a = j1a * q + series[m]
+                dj1a = dj1a * q + m * series[m]
+            j1a *= a
+            table[:, col] = [float(v) for v in _taylor_coeffs_j1(a, j1a, dj1a, terms)]
+    return table
+
+
+def _horner(table: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    # Reference: Horner over a gathered (n, terms) coefficient matrix.
+    idx = np.rint(8.0 * ax).astype(int)
+    coeffs = table.T[idx]
+    t = ax - idx / 8.0
     want = coeffs[:, -1].copy()
     for j in range(coeffs.shape[1] - 2, -1, -1):
-        want = want * (ax - _ANCHORS[idx]) + coeffs[:, j]
-    assert np.array_equal(_taylor(ax), want)
-
-
-def _taylor_reference(ax, terms=26):
-    # Horner over 26-term tables from the package's own builder.
-    from dsm2d.specfun import _ANCHORS, _build_taylor_tables
-
-    table = _build_taylor_tables(terms)
-    idx = np.rint(2.0 * ax).astype(int)
-    t = ax - _ANCHORS[idx]
-    want = table[-1][idx]
-    for j in range(terms - 2, -1, -1):
-        want = want * t + table[j][idx]
+        want = want * t + coeffs[:, j]
     return want
 
 
-def test_taylor_zone_is_bitwise_the_26_term_series():
-    # Terms 16 to 25 stay below 2.2e-24 for |t| <= 0.25 and leave every
-    # rounded result as it was.
-    from dsm2d.specfun import _ANCHORS, _taylor
+def test_every_taylor_coefficient_is_the_nearest_double():
+    from dsm2d.specfun import _taylor_table
+
+    table = _taylor_table()
+    assert table.tobytes() == _reference_table(table.shape[0]).tobytes()
+    assert not np.any(table[::2, 0])  # anchor 0: J1 is odd, even terms are 0.0
+
+
+def test_taylor_zone_matches_row_gather_horner_bitwise():
+    from dsm2d.specfun import _taylor, _taylor_table
+
+    ax = np.random.default_rng(11).uniform(0.0, ASYMPTOTIC_CUTOFF, size=5000)
+    assert np.array_equal(_taylor(ax), _horner(_taylor_table(), ax))
+
+
+def test_taylor_zone_rounds_like_the_26_term_series():
+    # Terms 10 to 25 sum to at most 3e-19 for |t| <= 1/16, far below an
+    # ulp: they tip the rounding only at near-ties, 197 of these 1.2 million
+    # points (12 terms would tip none), each time by at most 2^-53, one ulp
+    # of J1's largest values.
+    from dsm2d.specfun import _taylor
 
     lo, hi = 0.0, ASYMPTOTIC_CUTOFF
-    edges = np.concatenate([_ANCHORS - 0.25, _ANCHORS + 0.25])
+    anchors = np.arange(8 * int(hi) + 1) / 8.0
+    edges = np.concatenate([anchors - 1 / 16, anchors + 1 / 16])
     edges = np.concatenate([edges, np.nextafter(edges, -np.inf),
                             np.nextafter(edges, np.inf)])
     ax = np.concatenate([np.linspace(lo, hi, 600_001),
                          np.random.default_rng(3).uniform(lo, hi, 600_000),
                          edges[(edges >= lo) & (edges <= hi)]])
-    assert _taylor(ax).tobytes() == _taylor_reference(ax).tobytes()
+    got, want = _taylor(ax), _horner(_reference_table(26), ax)
+    assert np.count_nonzero(got != want) <= ax.size // 4000
+    assert np.max(np.abs(got - want)) <= 2.0 ** -53
 
 
 def test_every_taylor_anchor_is_reachable():
-    from dsm2d.specfun import _TAYLOR_J1
+    # one column per anchor 0, 1/8, ..., 48; the last one is J1(48) itself
+    from dsm2d.specfun import _taylor_table
 
-    assert _TAYLOR_J1.shape[1] == np.rint(2.0 * ASYMPTOTIC_CUTOFF) + 1
+    table = _taylor_table()
+    assert table.shape == (10, 8 * ASYMPTOTIC_CUTOFF + 1)
+    assert bessel_j1(ASYMPTOTIC_CUTOFF) == table[0, -1]
+    assert bessel_j1(np.nextafter(ASYMPTOTIC_CUTOFF, np.inf)) != table[0, -1]
+
+
+def test_j1_is_within_1_5e_16_up_to_48_and_past_it():
+    # Against a decimal series on 22,000 points: [0, 48] and the Hankel
+    # handover at 48, both sides.
+    rng = np.random.default_rng(29)
+    xs = np.concatenate([np.linspace(0.0, ASYMPTOTIC_CUTOFF, 10_001),
+                         rng.uniform(0.0, ASYMPTOTIC_CUTOFF, 8_000),
+                         rng.uniform(47.5, 48.5, 3_999), [ASYMPTOTIC_CUTOFF]])
+    got = bessel_j1(xs)
+    worst = max(abs(float(Decimal(value) - _jn_series(1, x)))
+                for x, value in zip(xs.tolist(), got.tolist()))
+    assert worst <= 1.5e-16
+
+
+_WITHIN = st.floats(-ASYMPTOTIC_CUTOFF, ASYMPTOTIC_CUTOFF)
+_BEYOND = st.floats(ASYMPTOTIC_CUTOFF, 1e6, exclude_min=True)
+
+
+@given(st.lists(_WITHIN, min_size=1, max_size=40),
+       st.lists(st.tuples(_BEYOND, st.booleans()), min_size=1, max_size=40),
+       st.randoms(use_true_random=False))
+def test_j1_of_an_array_is_j1_of_each_element(within, beyond, rng):
+    # One index and ten gathers for arrays at or below 48, the zone split
+    # for arrays that straddle it: either way the values are elementwise.
+    straddle = within + [-x if negate else x for x, negate in beyond]
+    rng.shuffle(straddle)
+    for xs in (within, straddle):
+        alone = np.array([bessel_j1(x) for x in xs])
+        assert bessel_j1(np.array(xs)).tobytes() == alone.tobytes()
 
 
 def _j1_maclaurin_45_digits(x: float) -> Decimal:
