@@ -6,8 +6,23 @@ closed form runs elementwise, cuts each band into column tiles of at most
 ``BAND_NODES`` (inclusion, node) terms, and can map its tiles over a
 thread pool.
 The data map runs one fixed-shape matrix product per band, always
-serially, since BLAS threads each product. Every map is bit-identical for
-any worker count and any BLAS thread count.
+serially, since BLAS threads each product. Each band's modulus is written
+straight into its slice of the map. Every map is bit-identical for any
+worker count and any BLAS thread count.
+
+The closed form scales inclusion m's offsets x_m - x by s_m = 2^-e_m, one
+exact power of two per map, with e_m from ``frexp`` of the largest
+|x_m - corner| component over the grid's corner nodes. Every scaled
+offset then lies in [-1, 1], so |x - x_m| s_m = sqrt(dx^2 + dy^2) needs
+no ``hypot``: the squares neither overflow nor lose a distance to
+underflow, and in the normal range the bits are those of the unscaled
+sqrt. The directional factor (dx d0 + dy d1) / dist is scale-free; where
+dist = 0 (a node on a center) it is left undivided, and J1(0) = 0 makes
+that term exactly 0. J1's argument k |x - x_m| is dist times k / s_m,
+rounded once, so it overflows exactly where the unscaled product does.
+Each step is elementwise and the scales depend on the grid, not the tile,
+so a node's bits do not depend on the tile it falls in, and the map is
+bit-invariant under multiplying every length by a power of two.
 
 The data map first limits the far field to the grid's bandwidth. By
 Jacobi-Anger the test function e^{ik theta.z} has Fourier modes
@@ -45,7 +60,8 @@ the last 2 differed), and the inner dimension is cut into
 inner width of 396 up, products differed).
 
 Exports: CSV (``x,y,value`` per node, exact ``%.17g`` digits from integer
-arithmetic, streamed per band) and PGM (P5, 16-bit big-endian, top = y_max).
+arithmetic, streamed per band of at most ``BAND_NODES`` nodes) and PGM
+(P5, 16-bit big-endian, top = y_max).
 """
 
 from __future__ import annotations
@@ -64,7 +80,7 @@ from .specfun import bessel_j1, bessel_tail_order
 
 GRID_EPS = 1e-9  # guards node counting against FP drift in (max-min)/step
 BAND_ROWS = 16  # map rows per work unit: vectorized, temporaries stay small
-BAND_NODES = 2 ** 16  # closed-form terms per work unit: 16 rows x 401 x 10 inclusions
+BAND_NODES = 2 ** 16  # closed-form terms, or CSV nodes, per work unit: 16 x 401 x 10
 GEMM_CHUNK = 384  # widest inner dimension of one data-map product, see module doc
 PEAK_TIE = 2.0 ** -45  # neighbors this close, relative to the map's maximum, tie
 BAND_FLOOR = 1e-12  # least share of the far field's norm kept by the resample
@@ -160,27 +176,51 @@ def _closed_form_weights(scene: Scene, wave: WaveContext) -> np.ndarray:
             for inc in scene.inclusions]))[0]
 
 
-def _analytic_band_values(scene: Scene, wave: WaveContext, weights: np.ndarray,
-                          x_nodes: np.ndarray, y_band: np.ndarray) -> np.ndarray:
-    # Closed form over a (rows x nx) band; every operation is elementwise,
-    # so a node's value does not depend on the band it falls in. All
-    # inclusions are stacked on axis 0, so J1 is called once per band.
+def _offset_exponents(centers: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """e_m with 2^(e_m - 1) <= the largest |x_m - corner| component < 2^e_m,
+    over the grid's corner nodes: 2^-e_m puts every offset of inclusion m
+    in [-1, 1] (module doc). 0 for an offset that overflowed."""
+    corners = np.array([[xs[0], xs[-1]], [ys[0], ys[-1]]])
+    with np.errstate(over="ignore"):
+        return np.frexp(np.abs(centers[:, :, np.newaxis] - corners).max(axis=(1, 2)))[1]
+
+
+def _analytic_band_values(wave: WaveContext, centers: np.ndarray, weights: np.ndarray,
+                          exps: np.ndarray, x_nodes: np.ndarray, y_band: np.ndarray,
+                          out: np.ndarray) -> None:
+    # Closed form over a (rows x cols) tile, its modulus written to `out`.
+    # Every operation is elementwise and the scales 2^-e_m are per map, so
+    # a node's bits do not depend on the tile it falls in. All inclusions
+    # are stacked on axis 0, so J1 is called once per tile.
     k = wave.wavenumber
     d = wave.incident_direction
-    centers = scene.centers
-    dx = centers[:, 0, np.newaxis, np.newaxis] - x_nodes
-    dy = centers[:, 1, np.newaxis, np.newaxis] - y_band[:, np.newaxis]
+    e = exps[:, np.newaxis, np.newaxis]
     # bessel_j1 rejects a distance or k*dist that overflowed
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.hypot(dx, dy)
-        # At a center dx = dy = 0 and J1(0) = 0, so the term there is exactly 0.
-        directional = (dx * d[0] + dy * d[1]) / np.where(dist == 0.0, 1.0, dist)
-        dist *= k  # in place: one (n_inc, rows, nx) array fewer while J1 runs
-    j1 = bessel_j1(dist)
-    total = np.zeros((y_band.size, x_nodes.size), dtype=complex)
-    for m, weight in enumerate(weights):  # summed in scene order
-        total += weight * directional[m] * j1[m]
-    return np.abs(total)
+        # offsets scaled by 2^-e_m while they are (n_inc, 1, cols) and
+        # (n_inc, rows, 1): exact, and their squares cannot overflow
+        dx = np.ldexp(centers[:, 0, np.newaxis, np.newaxis] - x_nodes, -e)
+        dy = np.ldexp(centers[:, 1, np.newaxis, np.newaxis] - y_band[:, np.newaxis], -e)
+        dist = dx * dx + dy * dy
+        np.sqrt(dist, out=dist)
+        directional = dx * d[0] + dy * d[1]
+        # On a center dist = 0: left undivided, and J1(0) = 0 makes the term 0
+        np.divide(directional, dist, out=directional, where=dist != 0.0)
+        # k |x - x_m| = dist * (k 2^e_m), one rounding of the unscaled
+        # product, which overflows where that product does. Where k 2^e_m
+        # is not a normal double, scale back after the multiply instead.
+        factors = np.ldexp(k, exps)
+        if np.all((factors >= np.finfo(float).tiny) & (factors < np.inf)):
+            dist *= factors[:, np.newaxis, np.newaxis]
+        else:
+            dist *= k
+            np.ldexp(dist, e, out=dist)
+    directional *= bessel_j1(dist)
+    # one complex temporary per inclusion, summed in scene order
+    total = weights[0] * directional[0]
+    for m in range(1, weights.size):
+        total += weights[m] * directional[m]
+    np.abs(total, out=out)
 
 
 def _band_limited(psi: np.ndarray, order: int, count: int) -> np.ndarray:
@@ -284,7 +324,7 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
         inv_denom = 1.0 / (norm_psi * math.sqrt(count))
         threads = 1  # BLAS threads each product already; a band pool is slower
 
-        def unit(tile: tuple) -> np.ndarray:
+        def unit(tile: tuple, out: np.ndarray) -> None:
             iy = tile[0]
             # The last band is shifted back to a full band: a 1-row product
             # rounds differently under different BLAS thread counts.
@@ -302,23 +342,26 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
             corr = corr.view(complex)
             if not mirror:  # (Re g) @ E + i (Im g) @ E
                 corr = corr[:rows] + 1j * corr[rows:]
-            return np.abs(corr[iy - lo:, :grid.nx]) * inv_denom
+            np.abs(corr[iy - lo:, :grid.nx], out=out)
+            out *= inv_denom
     else:
         scene, wave = source
         weights = _closed_form_weights(scene, wave)
+        centers = scene.centers
+        exps = _offset_exponents(centers, xs, ys)
         # the (n_inc, rows, cols) temporaries of a tile stay within BAND_NODES
         cols = max(1, BAND_NODES // (rows * weights.size))
 
-        def unit(tile: tuple) -> np.ndarray:
+        def unit(tile: tuple, out: np.ndarray) -> None:
             iy, lo = tile
-            return _analytic_band_values(scene, wave, weights, xs[lo:lo + cols],
-                                         ys[iy:iy + rows])
+            _analytic_band_values(wave, centers, weights, exps, xs[lo:lo + cols],
+                                  ys[iy:iy + rows], out)
 
     values = np.empty((grid.ny, grid.nx))
 
     def fill(tile: tuple) -> None:
         iy, lo = tile
-        values[iy:iy + rows, lo:lo + cols] = unit(tile)
+        unit(tile, values[iy:iy + rows, lo:lo + cols])  # each tile writes its slice
 
     # band by band, each band left to right
     tiles = itertools.product(range(0, grid.ny, rows), range(0, grid.nx, cols))
@@ -447,9 +490,10 @@ def export_map(indicator_map: IndicatorMap, path, fmt: str) -> None:
     """Write a map to disk as ``csv`` or 16-bit binary ``pgm``.
 
     CSV rows run y ascending (outer) and x ascending (inner), numbers as
-    exact ``%.17g``, streamed per band of ``BAND_ROWS`` rows as a matrix of
-    NUL-padded x, y and value words with the NULs dropped. PGM is P5 with
-    maxval 65535, big-endian samples round(65535 * v), top row at y_max.
+    exact ``%.17g``, streamed per band of at most ``BAND_ROWS`` rows and
+    ``BAND_NODES`` nodes as a matrix of NUL-padded x, y and value words
+    with the NULs dropped. PGM is P5 with maxval 65535, big-endian samples
+    round(65535 * v), top row at y_max.
     """
     path = Path(path)
     v = indicator_map.values
@@ -460,13 +504,18 @@ def export_map(indicator_map: IndicatorMap, path, fmt: str) -> None:
                                "S28").view(np.uint32).reshape(-1, 7)
                       for nodes in (indicator_map.grid.x_nodes(),
                                     indicator_map.grid.y_nodes()))
+            # bands of at most BAND_NODES nodes; a wider row goes in column
+            # chunks, so the lines stay y outer, x inner
+            rows = min(BAND_ROWS, max(1, BAND_NODES // v.shape[1]))
+            cols = min(v.shape[1], BAND_NODES)
             with open(path, "wb") as fh:
                 fh.write(b"x,y,value\n")
-                for iy in range(0, v.shape[0], BAND_ROWS):
-                    band = v[iy:iy + BAND_ROWS]
+                for iy, lo in itertools.product(range(0, v.shape[0], rows),
+                                                range(0, v.shape[1], cols)):
+                    band = v[iy:iy + rows, lo:lo + cols]
                     words = np.empty((*band.shape, 21), np.uint32)
-                    words[..., :7] = xw
-                    words[..., 7:14] = yw[iy:iy + BAND_ROWS, np.newaxis]
+                    words[..., :7] = xw[lo:lo + cols]
+                    words[..., 7:14] = yw[iy:iy + rows, np.newaxis]
                     words[..., 14:] = _value_words(band.ravel()).reshape(*band.shape, 7)
                     raw = words.view(np.uint8).ravel()
                     fh.write(raw[raw != 0])

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from dsm2d.cli import example_scene
 from dsm2d.forward import (SNR_DB_FLOOR, FarFieldData, NoiseSpec,
                            achieved_snr_db, add_noise, contrast_factor,
-                           read_far_field, synthesize_far_field,
+                           noise_document, read_far_field, synthesize_far_field,
                            write_far_field)
 from dsm2d.model import (MAX_DIRECTIONS, Inhomogeneity, Scene, WaveContext,
-                         make_observation_set)
+                         load_scene_config, make_observation_set)
 
 
 def far_field_asymptotic(scene: Scene, wave: WaveContext, theta: np.ndarray) -> complex:
@@ -269,6 +269,42 @@ def test_csv_round_trip_lossless(tmp_path, ex1_data, ex1_scene, demo_wave):
     assert meta["wavelength"] == demo_wave.wavelength
     assert meta["noise"]["snr_db"] == "inf"
     assert len(meta["scene"]["inclusions"]) == 1
+
+
+_COORDINATES = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(angle=st.one_of(st.integers(-7200, 7200).map(lambda i: i / 10.0),
+                       st.sampled_from([270.0, -90.0, 405.0, -0.0])),
+       wavelength=st.floats(0.05, 2.0), count=st.integers(1, 1024),
+       snr=st.one_of(st.just(math.inf), st.floats(-20.0, 80.0)),
+       seed=st.integers(0, 2 ** 32 - 1), background=st.floats(0.1, 10.0),
+       disks=st.lists(st.tuples(_COORDINATES, _COORDINATES, st.floats(1e-3, 0.5),
+                                st.floats(0.01, 100.0)),
+                      min_size=1, max_size=4, unique_by=lambda t: (t[0], t[1])))
+def test_far_field_files_round_trip_bitwise(tmp_path_factory, angle, wavelength, count,
+                                            snr, seed, background, disks):
+    # write_far_field then read_far_field: the same sample bits, and a
+    # sidecar that reloads the same d, centers, radii, permeabilities,
+    # wavelength and N.
+    scene = Scene(background, tuple(Inhomogeneity(np.array([x, y]), r, mu)
+                                    for x, y, r, mu in disks))
+    wave = WaveContext.from_degrees(wavelength, angle)
+    spec = NoiseSpec(snr_db=snr, seed=seed)
+    data = add_noise(synthesize_far_field(scene, wave, make_observation_set(count)), spec)
+    path = tmp_path_factory.mktemp("farfield") / "farfield.csv"
+    write_far_field(data, path, scene=scene, wave=wave, noise=spec)
+    loaded, meta = read_far_field(path)
+    assert loaded.samples.tobytes() == data.samples.tobytes()
+    assert meta["wavelength"] == wavelength and meta["noise"] == noise_document(spec)
+    cfg = load_scene_config(path.with_suffix(".json"), meta["scene"])
+    back = cfg["scene"]
+    assert cfg["wave"].incident_direction.tobytes() == wave.incident_direction.tobytes()
+    assert cfg["wave"].wavelength == wavelength and cfg["observations"].count == count
+    assert back.background_permeability == background
+    assert [(i.center.tobytes(), i.radius, i.permeability) for i in back.inclusions] \
+        == [(i.center.tobytes(), i.radius, i.permeability) for i in scene.inclusions]
 
 
 def test_csv_header_and_row_count(tmp_path, ex1_data):

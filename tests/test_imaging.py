@@ -1,5 +1,8 @@
 """Grid sweeps, peak extraction, and map export."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,7 @@ from dsm2d.imaging import (BAND_ROWS, MAX_GRID_NODES, PEAK_TIE, IndicatorMap,
                            export_map, extract_peaks)
 from dsm2d.indicator import (closed_form_magnitude, dsm_indicator_raw,
                              predicted_peaks)
-from dsm2d.model import Inhomogeneity, Scene, make_observation_set
+from dsm2d.model import Inhomogeneity, Scene, WaveContext, make_observation_set
 from dsm2d.specfun import bessel_j1, bessel_tail_order
 
 
@@ -240,15 +243,17 @@ def _oracle_weights(scene, wave):
 
 
 def _per_inclusion_band_values(scene, wave, x_nodes, y_band):
-    # Oracle: one complex term per inclusion, each with its own J1 call.
+    # Oracle: one complex term per inclusion, each with its own J1 call, on
+    # the unscaled offsets: in the normal range the map's 2^-e_m pre-scale
+    # must not change a bit.
     k, d = wave.wavenumber, wave.incident_direction
     total = np.zeros((y_band.size, x_nodes.size), dtype=complex)
     for inc, weight in zip(scene.inclusions, _oracle_weights(scene, wave)):
         dx = inc.center[0] - x_nodes
         dy = (inc.center[1] - y_band)[:, np.newaxis]
-        dist = np.hypot(dx, dy)
+        dist = np.sqrt(dx * dx + dy * dy)
         directional = (dx * d[0] + dy * d[1]) / np.where(dist == 0.0, 1.0, dist)
-        total += weight * directional * bessel_j1(k * dist)
+        total += weight * (directional * bessel_j1(k * dist))
     return np.abs(total)
 
 
@@ -272,11 +277,80 @@ def test_stacked_band_is_bitwise_the_per_inclusion_sum(which, demo_wave,
     # the band sums carry the weights' exact power-of-two scale 2**-e
     weights = _closed_form_weights(scene, demo_wave)
     _, e = unit_scaled(np.array(_oracle_weights(scene, demo_wave)))
+    exps = imaging._offset_exponents(scene.centers, xs, ys)
+    # the scale puts each inclusion's largest offset component in [1/2, 1)
+    for inc, exp in zip(scene.inclusions, exps):
+        offsets = [abs(c - corner) for c, axis in zip(inc.center, (xs, ys))
+                   for corner in (axis[0], axis[-1])]
+        assert 0.5 <= math.ldexp(max(offsets), -int(exp)) < 1.0
     for iy in range(0, grid.ny, BAND_ROWS):
         band = ys[iy:iy + BAND_ROWS]
-        got = _analytic_band_values(scene, demo_wave, weights, xs, band)
+        got = np.empty((band.size, xs.size))
+        _analytic_band_values(demo_wave, scene.centers, weights, exps, xs, band, got)
         want = _per_inclusion_band_values(scene, demo_wave, xs, band)
         assert got.tobytes() == np.ldexp(want, -e).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), disks=st.integers(1, 6),
+       on_nodes=st.booleans(),
+       shift=st.tuples(*[st.one_of(st.just(0.0), st.floats(-1e3, 1e3))] * 2))
+def test_closed_form_map_matches_the_scalar_closed_form(seed, disks, on_nodes, shift):
+    # Seeded 1-6 disk scenes on 41 x 41 grids moved up to 1e3 off the
+    # origin, centers on nodes or between them: the map at seeded nodes is
+    # the hypot-based scalar closed form over its value at the map's peak.
+    rng = np.random.default_rng(seed)
+    grid = SearchGrid(shift[0] - 1.0, shift[0] + 1.0, shift[1] - 1.0, shift[1] + 1.0, 0.05)
+    xs, ys = grid.x_nodes(), grid.y_nodes()
+    cells = rng.choice(33 * 33, size=disks, replace=False)
+    offsets = 0.0 if on_nodes else rng.uniform(-0.5, 0.5, (disks, 2)) * grid.step
+    centers = np.column_stack([xs[4 + cells % 33], ys[4 + cells // 33]]) + offsets
+    scene = Scene(float(rng.uniform(0.5, 2.0)), tuple(
+        Inhomogeneity(center, float(rng.uniform(0.01, 0.1)), float(rng.uniform(0.2, 20.0)))
+        for center in centers))
+    wave = WaveContext.from_degrees(float(rng.uniform(0.25, 1.0)),
+                                    float(rng.uniform(-180.0, 180.0)))
+    values = compute_map((scene, wave), grid).values
+    r = values.max(axis=1).argmax()
+    top = closed_form_magnitude(scene, wave, (xs[values[r].argmax()], ys[r]))
+    nodes = [*rng.integers(0, grid.ny, size=(40, 2)), *np.argwhere(values == 0.0)]
+    for i, j in nodes:
+        want = closed_form_magnitude(scene, wave, (xs[j], ys[i])) / top
+        assert abs(values[i, j] - want) <= 1e-13
+
+
+@pytest.mark.parametrize("j", [-1000, -600, -200, 200, 600, 1000])
+def test_closed_form_map_is_bit_invariant_under_power_of_two_lengths(
+        j, ex2_scene, demo_wave, default_grid):
+    # Every length times 2^j, radii kept: k |x - x_m|, k d.x_m and the
+    # offsets' directions keep their bits, and the per-inclusion pre-scale
+    # keeps dx^2 + dy^2 in range where it would overflow or underflow.
+    g = default_grid
+    grid = SearchGrid(*(math.ldexp(v, j) for v in (g.x_min, g.x_max, g.y_min, g.y_max,
+                                                   g.step)))
+    scene = Scene(ex2_scene.background_permeability, tuple(
+        Inhomogeneity(np.ldexp(inc.center, j), inc.radius, inc.permeability)
+        for inc in ex2_scene.inclusions))
+    wave = WaveContext(math.ldexp(demo_wave.wavelength, j), demo_wave.incident_direction)
+    assert wave.wavenumber == math.ldexp(demo_wave.wavenumber, -j)
+    base = compute_map((ex2_scene, demo_wave), g).values
+    assert compute_map((scene, wave), grid).values.tobytes() == base.tobytes()
+
+
+def test_closed_form_argument_is_finite_where_the_unscaled_product_is(demo_wave):
+    # Offsets up to 2^999 sqrt(2) and k = 1.2 DBL_MAX / 2^1000: k 2^e_m
+    # overflows, but k |x - x_m| does not, so the map must still be finite
+    # and match the scalar closed form.
+    a = math.ldexp(1.0, 999)
+    grid = SearchGrid(-a, a, -a, a, a / 4)
+    scene = Scene(1.0, (Inhomogeneity(np.array([0.0, 0.0]), 0.1, 5.0),))
+    wave = WaveContext(2.0 * math.pi / (1.2 * math.ldexp(sys.float_info.max, -1000)),
+                       demo_wave.incident_direction)
+    assert wave.wavenumber * math.ldexp(1.0, 1000) == math.inf
+    assert wave.wavenumber * math.hypot(a, a) < math.inf
+    imap = compute_map((scene, wave), grid)
+    brute = _scalar_closed_form_map(scene, wave, grid)
+    assert np.max(np.abs(imap.values - brute)) <= 1e-13
 
 
 def test_closed_form_is_zero_on_a_disk_center(demo_wave):
@@ -756,6 +830,32 @@ def test_csv_export_is_byte_identical_to_per_node_reference(tmp_path):
         assert path.read_bytes() == reference.encode("ascii")
         reloaded = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert np.array_equal(reloaded[:, 2], values.ravel())
+
+
+def test_csv_export_of_a_wide_map_bands_by_nodes(tmp_path):
+    # 2 x 300,001 nodes: each row goes in column chunks of BAND_NODES, in
+    # order. Rows-only bands held a (2, 300001, 21) word matrix (50 MB)
+    # and peaked at 246.6 MB (tracemalloc, numpy 2.4); chunks stay below
+    # 40 % of that.
+    import tracemalloc
+
+    grid = SearchGrid(0.0, 3.0, 0.0, 1e-5, 1e-5)
+    assert (grid.ny, grid.nx) == (2, 300001)
+    values = np.random.default_rng(5).random((grid.ny, grid.nx)) ** 4
+    imap = IndicatorMap(grid=grid, values=values)
+    path = tmp_path / "map.csv"
+    tracemalloc.start()
+    try:
+        export_map(imap, path, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.4 * 246.6e6
+    reference = "x,y,value\n" + "".join(
+        f"{x:.17g},{y:.17g},{v:.17g}\n"
+        for y, row in zip(grid.y_nodes().tolist(), values.tolist())
+        for x, v in zip(grid.x_nodes().tolist(), row))
+    assert path.read_bytes() == reference.encode("ascii")
 
 
 def _formatted(values):
