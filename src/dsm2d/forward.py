@@ -12,6 +12,14 @@ Synthetic data can be perturbed with circular complex Gaussian noise
 calibrated to an exact signal-to-noise ratio in dB. Serialization is a
 CSV of complex samples with a JSON sidecar holding scene/wave metadata;
 values are printed with 17 significant digits so a reload is lossless.
+
+The CSV is written without ``savetxt``, in chunks of ``BAND_NODES // 4``
+rows (four floats a row). Each chunk is a matrix of NUL-padded uint32 words:
+two for ``n,``, then eight per float (a sign word, six digit words, and
+``,`` or ``\n`` as the end word) from ``_value_words``, which gives the
+bytes of Python's ``%.17g`` by exact integer arithmetic where
+1e-4 <= |x| < 1 and leaves other values to Python. The NULs are dropped
+and the rest is written as it is. The map export uses the same kernel.
 """
 
 from __future__ import annotations
@@ -29,6 +37,18 @@ from .model import (ObservationSet, Scene, WaveContext, contrast_factor,
 # The noise-to-signal power ratio 10 ** (-snr_db / 10) is a finite double
 # exactly when snr_db lies above -10 log10(DBL_MAX) = -3082.547... dB.
 SNR_DB_FLOOR = -10.0 * math.log10(np.finfo(float).max)
+BAND_NODES = 2 ** 16  # CSV rows or nodes, or closed-form terms, per work unit
+
+# Tables for exact %.17g, built from bytes so byte order does not matter:
+# "0." to "0.000" plus a leading digit; 4-digit groups, full and zero-stripped.
+_U32, _M32, _ONE, _E8 = (np.uint64(k) for k in (32, 2 ** 32 - 1, 1, 10 ** 8))
+_POW5 = np.array([5 ** 17, 5 ** 18, 5 ** 19, 5 ** 20], dtype=np.uint64)
+_LEAD = np.array([p + bytes([d]) for p in (b"0.", b"0.0", b"0.00", b"0.000")
+                  for d in b"0123456789"], "S8").view(np.uint32).reshape(40, 2)
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + np.uint8(48)
+_TRAILING = np.logical_and.accumulate(_DIGITS[:, ::-1] == 48, axis=1)[:, ::-1]
+_GROUPS = np.stack([_DIGITS, _DIGITS * ~_TRAILING]).view(np.uint32).ravel()
+_MINUS, _COMMA, _NEWLINE = (np.array([c], "S4").view(np.uint32)[0] for c in (b"-", b",", b"\n"))
 
 
 @dataclass(frozen=True)
@@ -146,20 +166,69 @@ def add_noise(data: FarFieldData, spec: NoiseSpec) -> FarFieldData:
     draws = rng.standard_normal((data.observation_set.count, 2))
     noise = draws[:, 0] + 1j * draws[:, 1]
     raw_power = float(np.sum(np.abs(noise) ** 2))
-    target_power = signal_power * 10.0 ** (-spec.snr_db / 10.0)  # times 4**-e
+    # The noise power signal * 10**(-snr/10), unscaled, must be a finite
+    # double; data whose own power overflows are judged by their samples.
+    with np.errstate(over="ignore", under="ignore"):
+        signal = float(np.ldexp(signal_power, 2 * e))
+    overflows = signal < math.inf and signal * 10.0 ** (-spec.snr_db / 10.0) == math.inf
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        noise *= np.ldexp(math.sqrt(target_power / raw_power), e)
+        noise *= np.ldexp(math.sqrt(signal_power / raw_power)
+                          * 10.0 ** (-spec.snr_db / 20.0), e)
         samples = data.samples + noise
-    if not np.all(np.isfinite(samples)):
+    if overflows or not np.all(np.isfinite(samples)):
         raise ValueError(f"noise power overflows at {spec.snr_db} dB")
     return FarFieldData(samples)
 
 
 def achieved_snr_db(clean: FarFieldData, noisy: FarFieldData) -> float:
-    """SNR in dB of ``noisy`` relative to ``clean`` (recomputed from norms)."""
+    """SNR in dB of ``noisy`` relative to ``clean`` (recomputed from norms),
+    both norms taken on one ``unit_scaled`` power-of-two scale."""
     eta = noisy.samples - clean.samples
-    return 10.0 * math.log10(float(np.sum(np.abs(clean.samples) ** 2))
-                             / float(np.sum(np.abs(eta) ** 2)))
+    scaled, _ = unit_scaled(np.concatenate([clean.samples, eta]))
+    powers = np.abs(scaled) ** 2
+    n = clean.samples.size
+    return 10.0 * math.log10(float(np.sum(powers[:n])) / float(np.sum(powers[n:])))
+
+
+def _value_words(v: np.ndarray, end, out: np.ndarray) -> None:
+    """``f"{x:.17g}"`` then the word ``end`` per value of ``v``, written to
+    ``out`` (shape ``v.shape + (8,)``, uint32) as NUL-padded words: a sign
+    word, six digit words and the end word.
+
+    Exact integer arithmetic where 1e-4 <= |x| < 1; Python formats other
+    values, into the first six words.
+    """
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1.0)
+    f = np.where(fast, a, 0.5)  # 0.5: placeholder for the other values
+    # e = -1 - floor(log10 f) exactly, as each double 10**-k lies above 10**-k.
+    e = (f < 0.1).astype(np.intp) + (f < 0.01) + (f < 0.001)
+    # 17 digits N = round-half-even(m * 5**s / 2**q) of f = m * 2**(ex - 53),
+    # s = 17 + e, q = 36 - e - ex, m * 5**s < 2**100 from 32-bit limbs; no
+    # double here rounds up to a power of ten, so N < 10**17.
+    frac, ex = np.frexp(f)
+    m, p = (frac * 2.0 ** 53).astype(np.uint64), _POW5[e]
+    m0, m1, p0, p1 = m & _M32, m >> _U32, p & _M32, p >> _U32
+    lo, mid = m0 * p0, m1 * p0 + m0 * p1
+    t = (lo >> _U32) + (mid & _M32)
+    low, high = (lo & _M32) | (t << _U32), m1 * p1 + (mid >> _U32) + (t >> _U32)
+    q = (36 - e - ex).astype(np.uint64)
+    n = (high << (np.uint64(64) - q)) | (low >> q)
+    rem, half = low & ((_ONE << q) - _ONE), _ONE << (q - _ONE)
+    n += (rem > half) | ((rem == half) & (n & _ONE == _ONE))
+    head, tail = (part.astype(np.intp) for part in np.divmod(n, _E8))
+    lead, hi = np.divmod(head, 10 ** 8)
+    out[..., 0] = (v < 0.0) * _MINUS
+    out[..., 1:3] = _LEAD.take(10 * e + lead, axis=0)
+    groups = (hi // 10000, hi % 10000, tail // 10000, tail % 10000)
+    last = np.maximum.reduce([k * (g != 0) for k, g in enumerate(groups)])
+    for k, g in enumerate(groups):  # zero-stripped from the last nonzero one
+        out[..., 3 + k] = _GROUPS.take(g + 10000 * (k >= last))
+    out[..., 7] = end
+    slow = ~fast
+    out[slow, :6] = np.array([f"{x:.17g}".encode() for x in v[slow].tolist()],
+                             "S24").view(np.uint32).reshape(-1, 6)
+    out[slow, 6] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +244,31 @@ def write_far_field(data: FarFieldData, csv_path, *,
     """Write samples as CSV plus a JSON sidecar next to it.
 
     The sidecar path is the CSV path with extension replaced by ``.json``.
-    All floats are printed with %.17g, so reading back reproduces the
-    exact doubles.
+    All floats are printed as Python's %.17g (module doc), so reading back
+    reproduces the exact doubles.
     """
     csv_path = Path(csv_path)
     obs = data.observation_set
-    rows = np.column_stack([np.arange(1, obs.count + 1), obs.directions,
-                            data.samples.real, data.samples.imag])
-    np.savetxt(csv_path, rows, fmt="%.17g", delimiter=",", header=CSV_HEADER,
-               comments="")
+    # n <= MAX_DIRECTIONS = 10**6: "n," in 8 bytes, leading zeros as NULs
+    powers = 10 ** np.arange(6, -1, -1)
+    ends = np.array([_COMMA, _COMMA, _COMMA, _NEWLINE])
+    rows = BAND_NODES // 4  # four floats a row
+    with open(csv_path, "wb") as fh:
+        fh.write(CSV_HEADER.encode() + b"\n")
+        for lo in range(0, obs.count, rows):
+            hi = min(lo + rows, obs.count)
+            n = np.arange(lo + 1, hi + 1)[:, np.newaxis]
+            number = np.full((hi - lo, 8), ord(","), np.uint8)
+            number[:, :7] = (n >= powers) * (n // powers % 10 + 48)
+            values = np.empty((hi - lo, 4))
+            values[:, :2] = obs.directions[lo:hi]
+            values[:, 2] = data.samples.real[lo:hi]
+            values[:, 3] = data.samples.imag[lo:hi]
+            words = np.empty((hi - lo, 34), np.uint32)
+            words[:, :2] = number.view(np.uint32)
+            _value_words(values, ends, words[:, 2:].reshape(-1, 4, 8))
+            raw = words.view(np.uint8).ravel()
+            fh.write(raw[raw != 0])
 
     meta = {"num_observation_directions": obs.count}
     if wave is not None:
@@ -213,7 +298,8 @@ def read_far_field(csv_path):
         if values.shape[1] != 5 or not np.all(np.isfinite(values)):
             raise ValueError("every row needs 5 finite values")
         data = FarFieldData(values[:, 3] + 1j * values[:, 4])
-        if not np.allclose(values[:, 1:3], data.observation_set.directions, atol=1e-12):
+        if not np.allclose(values[:, 1:3], data.observation_set.directions,
+                           rtol=0.0, atol=1e-12):
             raise ValueError(f"directions are not the uniform {len(values)}-point set")
     except ValueError as exc:  # also undecodable bytes
         raise ValueError(f"{csv_path}: {exc}") from exc

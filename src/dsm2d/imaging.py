@@ -5,10 +5,11 @@ grid maximum. Both sweeps run over bands of ``BAND_ROWS`` rows. The
 closed form runs elementwise, cuts each band into column tiles of at most
 ``BAND_NODES`` (inclusion, node) terms, and can map its tiles over a
 thread pool.
-The data map runs one fixed-shape matrix product per band, always
-serially, since BLAS threads each product. Each band's modulus is written
-straight into its slice of the map. Every map is bit-identical for any
-worker count and any BLAS thread count.
+The data map sweeps only the rows on one side of the grid's centre, with
+fixed-shape matrix products per band, always serially, since BLAS threads
+each product; each band's moduli are written straight into its rows and
+their mirror rows. Every map is bit-identical for any worker count and
+any BLAS thread count.
 
 The closed form scales inclusion m's offsets x_m - x by s_m = 2^-e_m, one
 exact power of two per map, with e_m from ``frexp`` of the largest
@@ -24,18 +25,24 @@ Each step is elementwise and the scales depend on the grid, not the tile,
 so a node's bits do not depend on the tile it falls in, and the map is
 bit-invariant under multiplying every length by a power of two.
 
-The data map first limits the far field to the grid's bandwidth. By
-Jacobi-Anger the test function e^{ik theta.z} has Fourier modes
-i^m J_m(k|z|) e^{-im phi} (phi the polar angle of z), below 1e-16 for
-|m| > L over the whole grid, with L = ``bessel_tail_order(kR)`` and R
-the largest distance from the origin to a grid corner. So the N-point
-sum sees only the data's modes |m| <= L, and once N >= N' = 2L + 2
-(rounded up to a multiple of 4) it equals, to rounding, the same sum over
-N' samples of the data's trigonometric interpolant truncated to those
-modes: c = fft(psi) / N with direction N at angle 0, c_m for |m| <= L put
-at index m mod N', then ifft * N'. The map is normalized by its maximum,
-so N / N' drops out. Below N' the sum aliases and the N samples are used
-as they are.
+The data map takes its reference z0 at the centre of the nodes,
+(x_min + step (nx - 1)/2, y_min + step (ny - 1)/2), and node offsets
+u_j = step (j - (nx - 1)/2), v_i = step (i - (ny - 1)/2) from it, which
+are exactly antisymmetric. As e^{ik theta.z} = e^{ik theta.z0}
+e^{ik theta.(z - z0)}, sample n is first multiplied by e^{+ik theta_n.z0},
+which is skipped when z0 = 0 (a grid centred on the origin). It then
+limits the far field to the grid's bandwidth. By Jacobi-Anger the test
+function e^{ik theta.(z - z0)} has Fourier modes i^m J_m(k|z - z0|)
+e^{-im phi} (phi the polar angle of z - z0), below 1e-16 for |m| > L over
+the whole grid, with L = ``bessel_tail_order(kR)`` and R the distance
+from z0 to a corner, half the grid's diagonal wherever the grid lies. So
+the N-point sum sees only the data's modes |m| <= L, and once
+N >= N' = 2L + 2 (rounded up to a multiple of 4) it equals, to rounding,
+the same sum over N' samples of the data's trigonometric interpolant
+truncated to those modes: c = fft(psi) / N with direction N at angle 0,
+c_m for |m| <= L put at index m mod N', then ifft * N'. The map is
+normalized by its maximum, so N / N' and the data's norm drop out. Below
+N' the sum aliases and the N samples are used as they are.
 
 The data map folds the mirror-symmetric direction set. Direction N - m is
 direction m with sin theta negated; for even N, N/2 - m and N/2 + m negate
@@ -43,25 +50,32 @@ cos theta and both. So column m (0 <= m <= N//4 for even N, N//2 for odd)
 holds psi1..psi4 at (c, s), (c, -s), (-c, s), (-c, -s) with (c, s) =
 theta_m, and 0 in a slot whose direction an earlier slot already holds.
 With a = psi1 + psi2 + psi3 + psi4, b = psi1 - psi2 + psi3 - psi4,
-e = psi1 + psi2 - psi3 - psi4, f = psi1 - psi2 - psi3 + psi4, C = cos(k x c)
-and S = sin(k x c), the correlation is
-``cos(k y s) @ (a C + i e S) + sin(k y s) @ (i b C - f S)``. For even N,
-W, the two complex blocks stacked, is built once per map; a band's
-correlation is the real product ``[cos | sin](k y s) @ W.view(float)``
-viewed as complex: half the flops of the unfolded complex sum. For odd N,
-psi3 = psi4 = 0 makes e = a and f = b, so W is the one block C + i S and
-the data go to the rows: g = a cos(k y s) + i b sin(k y s), and the band
-is ``[Re g; Im g] @ W.view(float)`` recombined as Re-part + i Im-part.
-Two rules, measured with OpenBLAS 0.3.31 (Haswell kernels) at 1 and 2
-threads, keep the bits independent of the thread count: W's nx complex
-columns are zero-padded to a multiple of 4 (at 802 real output columns
-the last 2 differed), and the inner dimension is cut into
-``GEMM_CHUNK``-wide pieces whose products are summed in order (from an
-inner width of 396 up, products differed).
+e = psi1 + psi2 - psi3 - psi4, f = psi1 - psi2 - psi3 + psi4, C = cos(k u c)
+and S = sin(k u c), the correlation at row offset v is
+``cos(k v s) @ W1 + sin(k v s) @ W2`` with W1 = a C + i e S and
+W2 = i b C - f S, built once per map. cos(k v s) is even in v and
+sin(k v s) odd, so rows v and -v get E + O and E - O with
+E = cos(k v s) @ W1 and O = sin(k v s) @ W2, each a real product with
+``W.view(float)`` viewed as complex. Only the ceil(ny/2) rows with v >= 0
+are multiplied, in bands of ``BAND_ROWS`` rows, and row i's E - O goes to
+row ny - 1 - i. For odd N, psi3 = psi4 = 0 makes e = a and f = b, so
+W1 = a (C + i S) and W2 = i b (C + i S): only the block C + i S is built
+and the data go to the rows. E comes from g = a cos(k v s) and O from
+h = i b sin(k v s), both in one product
+``[Re g; Im g; Re h; Im h] @ W.view(float)`` recombined as
+Re-part + i Im-part. Two rules, measured with OpenBLAS 0.3.31 (Haswell
+kernels) at 1 and 2 threads, keep the bits independent of the thread
+count: W's nx complex columns are zero-padded to a multiple of 4 (at 802
+real output columns the last 2 differed), and the inner dimension is cut
+into ``GEMM_CHUNK``-wide pieces whose products are summed in order (from
+an inner width of 396 up, products differed). A third is kept from the
+earlier band loop, where a 1-row last band rounded by the thread count:
+no product has one row. A band has at least 2 rows and the last band is
+shifted back to a full one, so when ny = 2 the band holds both rows.
 
-Exports: CSV (``x,y,value`` per node, exact ``%.17g`` digits from integer
-arithmetic, streamed per band of at most ``BAND_NODES`` nodes) and PGM
-(P5, 16-bit big-endian, top = y_max).
+Exports: CSV (``x,y,value`` per node, exact ``%.17g`` digits from
+``forward``'s integer kernel, streamed per band of at most ``BAND_NODES``
+nodes) and PGM (P5, 16-bit big-endian, top = y_max).
 """
 
 from __future__ import annotations
@@ -74,28 +88,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import FarFieldData, unit_scaled
+from .forward import BAND_NODES, FarFieldData, _NEWLINE, _value_words, unit_scaled
 from .model import ObservationSet, Scene, WaveContext, contrast_factor
 from .specfun import bessel_j1, bessel_tail_order
 
 GRID_EPS = 1e-9  # guards node counting against FP drift in (max-min)/step
 BAND_ROWS = 16  # map rows per work unit: vectorized, temporaries stay small
-BAND_NODES = 2 ** 16  # closed-form terms, or CSV nodes, per work unit: 16 x 401 x 10
 GEMM_CHUNK = 384  # widest inner dimension of one data-map product, see module doc
 PEAK_TIE = 2.0 ** -45  # neighbors this close, relative to the map's maximum, tie
 BAND_FLOOR = 1e-12  # least share of the far field's norm kept by the resample
 MAX_GRID_NODES = 10 ** 8  # 25x a 2001 x 2001 grid; a map of it is 800 MB
-
-# Tables for exact %.17g, built from bytes so byte order does not matter:
-# "0." to "0.000" plus a leading digit; 4-digit groups, full and zero-stripped.
-_U32, _M32, _ONE, _E8 = (np.uint64(k) for k in (32, 2 ** 32 - 1, 1, 10 ** 8))
-_POW5 = np.array([5 ** 17, 5 ** 18, 5 ** 19, 5 ** 20], dtype=np.uint64)
-_LEAD = np.array([p + bytes([d]) for p in (b"0.", b"0.0", b"0.00", b"0.000")
-                  for d in b"0123456789"], "S8").view(np.uint32).reshape(40, 2)
-_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + np.uint8(48)
-_TRAILING = np.logical_and.accumulate(_DIGITS[:, ::-1] == 48, axis=1)[:, ::-1]
-_GROUPS = np.stack([_DIGITS, _DIGITS * ~_TRAILING]).view(np.uint32).ravel()
-_NEWLINE = np.array(b"\n", "S4").view(np.uint32)
 
 
 @dataclass(frozen=True)
@@ -242,126 +244,115 @@ def _band_limited(psi: np.ndarray, order: int, count: int) -> np.ndarray:
     return np.roll(np.fft.ifft(kept) * count, -1)
 
 
-def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
-                threads: int = 1) -> IndicatorMap:
-    """Evaluate the indicator at every grid node, then grid-max normalize.
+def _products(lhs: np.ndarray, rhs: np.ndarray, chunks: list) -> np.ndarray:
+    # lhs @ rhs as GEMM_CHUNK-wide inner pieces summed in order (module
+    # doc), viewed as complex
+    out = lhs[:, chunks[0]] @ rhs[chunks[0]]
+    for chunk in chunks[1:]:
+        out += lhs[:, chunk] @ rhs[chunk]
+    return out.view(complex)
 
-    Parameters
-    ----------
-    source : FarFieldData or (Scene, WaveContext)
-        Far-field data (requires ``wavenumber``) for the measured-data
-        indicator, or a scene/wave pair for the closed-form map.
-    grid : SearchGrid
-    wavenumber : float, required for a FarFieldData source
-    threads : int
-        Worker threads for the closed-form sweep, which maps over tiles of
-        ``BAND_ROWS`` rows and at most ``BAND_NODES`` terms, capped at the
-        CPU count. The data map ignores
-        it and runs serially: BLAS already threads its band products. The
-        output is bit-identical for every thread count and every BLAS
-        thread count.
 
-    Raises ``ValueError`` for all-zero data, for data with no energy at
-    the modes the grid resolves (``_band_limited``), and for a map that
-    is all zero or not finite.
-    """
+def _data_values(data: FarFieldData, grid: SearchGrid, wavenumber: float) -> np.ndarray:
+    # |sum_n psi_n e^{ik theta_n.z}| at every node, unnormalized (module
+    # doc). unit_scaled is an exact power of two: the same map bits, and
+    # no over- or underflow.
+    psi, _ = unit_scaled(data.samples)
+    if not np.any(psi):
+        raise ValueError("indicator undefined for all-zero data")
+    count = data.observation_set.count
+    directions = data.observation_set.directions
+    nx, ny = grid.nx, grid.ny
+    # z0 at the centre of the nodes, and offsets from it that are exactly
+    # antisymmetric: row i and row ny - 1 - i have opposite v
+    z0 = (grid.x_min + grid.step * (nx - 1) / 2, grid.y_min + grid.step * (ny - 1) / 2)
+    u, v = (grid.step * (np.arange(n) - (n - 1) / 2) for n in (nx, ny))
+    if z0 != (0.0, 0.0):
+        # Far from the origin k*z overflows to a NaN phase; the map check
+        # reports that as non-finite values.
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = psi * np.exp(1j * wavenumber * (directions[:, 0] * z0[0]
+                                                  + directions[:, 1] * z0[1]))
+    # Resample to the grid's bandwidth. L > kR, so only N >= 2 kR + 2 can
+    # reach N' = 2L + 2, and only then is L sought.
+    kr = wavenumber * math.hypot(u[-1], v[-1])
+    if count >= 2.0 * kr + 2.0:
+        order = bessel_tail_order(kr)
+        resampled = -(-(2 * order + 2) // 4) * 4
+        if count >= resampled:
+            psi = _band_limited(psi, order, resampled)
+            count = resampled
+            directions = ObservationSet(count).directions
+    # Fold column m with its three mirrors; direction n sits at index
+    # n - 1 (mod N). For odd N the x-mirror slots repeat slots 1 and 2, so
+    # they are zeroed as duplicates.
+    mirror = count // 2 if count % 2 == 0 else 0
+    m = np.arange(count // (4 if mirror else 2) + 1)
+    slots = np.stack([m, -m, mirror - m, mirror + m]) % count
+    distinct = np.ones(slots.shape, dtype=bool)
+    for i in range(1, 4):
+        distinct[i] = np.all(slots[i] != slots[:i], axis=0)
+    p1, p2, p3, p4 = np.where(distinct, psi[slots - 1], 0.0)
+    s12, d12, s34, d34 = p1 + p2, p1 - p2, p3 + p4, p3 - p4
+    a, e, b, f = s12 + s34, s12 - s34, d12 + d34, d12 - d34
+    cos_m, sin_m = directions[m - 1].T
+    # W1 (to cos(k v s)) and W2 (to sin(k v s)), or for odd N the one block
+    w = np.zeros((2 if mirror else 1, m.size, -(-nx // 4) * 4), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase_x = wavenumber * np.outer(cos_m, u)
+        c, s = np.cos(phase_x), np.sin(phase_x)
+        if mirror:
+            w[0, :, :nx] = a[:, None] * c + (1j * e)[:, None] * s
+            w[1, :, :nx] = (1j * b)[:, None] * c - f[:, None] * s
+        else:  # e = a, f = b: one block C + i S, the data go to the rows
+            w[0, :, :nx] = c + 1j * s
+    del phase_x, c, s
+    w = w.view(float)
+    chunks = [slice(lo, lo + GEMM_CHUNK) for lo in range(0, m.size, GEMM_CHUNK)]
+    values = np.empty((ny, nx))
+    # Rows ny // 2 .. ny - 1 have v >= 0; row i gives E + O, its mirror
+    # ny - 1 - i gives E - O. A band has at least 2 rows, the last one
+    # shifted back to a full band: no 1-row product (module doc).
+    start = ny // 2
+    rows = min(BAND_ROWS, max(ny - start, 2))
+    for iy in range(start, ny, rows):
+        lo = min(iy, ny - rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase_y = wavenumber * np.outer(v[lo:lo + rows], sin_m)
+            cos_y, sin_y = np.cos(phase_y), np.sin(phase_y)
+            if mirror:
+                even = _products(cos_y, w[0], chunks)
+                odd = _products(sin_y, w[1], chunks)
+            else:  # (Re g) @ W + i (Im g) @ W for g = a cos_y, then i b sin_y
+                g, h = a * cos_y, (1j * b) * sin_y
+                prod = _products(np.concatenate([g.real, g.imag, h.real, h.imag]),
+                                 w[0], chunks)
+                even = prod[:rows] + 1j * prod[rows:2 * rows]
+                odd = prod[2 * rows:3 * rows] + 1j * prod[3 * rows:]
+            skip = iy - lo
+            np.abs(even[skip:, :nx] + odd[skip:, :nx], out=values[iy:lo + rows])
+            even -= odd
+            np.abs(even[skip:, :nx], out=values[ny - lo - rows:ny - iy][::-1])
+    return values
+
+
+def _closed_form_values(scene: Scene, wave: WaveContext, grid: SearchGrid,
+                        threads: int) -> np.ndarray:
+    # the closed form's modulus at every node, unnormalized, tile by tile
     xs = grid.x_nodes()
     ys = grid.y_nodes()
+    weights = _closed_form_weights(scene, wave)
+    centers = scene.centers
+    exps = _offset_exponents(centers, xs, ys)
     rows = min(BAND_ROWS, grid.ny)
-    cols = grid.nx  # the data map's bands are whole rows
-
-    if isinstance(source, FarFieldData):
-        if wavenumber is None or not (wavenumber > 0):
-            raise ValueError("a positive wavenumber is required with data sources")
-        # an exact power of two: the same map bits, no over- or underflow
-        psi, _ = unit_scaled(source.samples)
-        if not np.any(psi):
-            raise ValueError("indicator undefined for all-zero data")
-        count = source.observation_set.count
-        directions = source.observation_set.directions
-        # Resample to the grid's bandwidth (module doc). L > kR, so only
-        # N >= 2 kR + 2 can reach N' = 2L + 2, and only then is L sought.
-        kr = wavenumber * max(math.hypot(x, y) for x in (xs[0], xs[-1])
-                              for y in (ys[0], ys[-1]))
-        if count >= 2.0 * kr + 2.0:
-            order = bessel_tail_order(kr)
-            resampled = -(-(2 * order + 2) // 4) * 4
-            if count >= resampled:
-                psi = _band_limited(psi, order, resampled)
-                count = resampled
-                directions = ObservationSet(count).directions
-        norm_psi = float(np.linalg.norm(psi))
-        # Fold column m with its three mirrors as the module docstring says;
-        # direction n sits at index n - 1 (mod N). For odd N the x-mirror
-        # slots repeat slots 1 and 2, so they are zeroed as duplicates.
-        mirror = count // 2 if count % 2 == 0 else 0
-        m = np.arange(count // (4 if mirror else 2) + 1)
-        slots = np.stack([m, -m, mirror - m, mirror + m]) % count
-        distinct = np.ones(slots.shape, dtype=bool)
-        for i in range(1, 4):
-            distinct[i] = np.all(slots[i] != slots[:i], axis=0)
-        p1, p2, p3, p4 = np.where(distinct, psi[slots - 1], 0.0)
-        s12, d12, s34, d34 = p1 + p2, p1 - p2, p3 + p4, p3 - p4
-        a, e, b, f = s12 + s34, s12 - s34, d12 + d34, d12 - d34
-        cos_m, sin_m = directions[m - 1].T
-        width = m.size
-        nx_padded = -(-grid.nx // 4) * 4  # see module doc
-        # |<psi, e(x_s)>| / (||psi|| ||e||), with e^{ik x cos} e^{ik y sin}.
-        # Far from the origin k*x overflows to a NaN phase; the map check
-        # reports that as non-finite values.
-        w = np.zeros((2 * width if mirror else width, nx_padded), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            phase_x = wavenumber * np.outer(cos_m, xs)
-            c, s = np.cos(phase_x), np.sin(phase_x)
-            if mirror:
-                w[:width, :grid.nx] = a[:, None] * c + (1j * e)[:, None] * s
-                w[width:, :grid.nx] = (1j * b)[:, None] * c - f[:, None] * s
-            else:  # e = a, f = b: one block C + i S, the data go to the rows
-                w[:, :grid.nx] = c + 1j * s
-        del phase_x, c, s
-        w = w.view(float)
-        chunks = [slice(lo, lo + GEMM_CHUNK) for lo in range(0, w.shape[0], GEMM_CHUNK)]
-        inv_denom = 1.0 / (norm_psi * math.sqrt(count))
-        threads = 1  # BLAS threads each product already; a band pool is slower
-
-        def unit(tile: tuple, out: np.ndarray) -> None:
-            iy = tile[0]
-            # The last band is shifted back to a full band: a 1-row product
-            # rounds differently under different BLAS thread counts.
-            lo = min(iy, grid.ny - rows)
-            with np.errstate(over="ignore", invalid="ignore"):
-                phase_y = wavenumber * np.outer(ys[lo:lo + rows], sin_m)
-                if mirror:
-                    y = np.concatenate([np.cos(phase_y), np.sin(phase_y)], axis=1)
-                else:
-                    g = a * np.cos(phase_y) + (1j * b) * np.sin(phase_y)
-                    y = np.concatenate([g.real, g.imag])
-            corr = y[:, chunks[0]] @ w[chunks[0]]
-            for chunk in chunks[1:]:  # summed in order, see module doc
-                corr += y[:, chunk] @ w[chunk]
-            corr = corr.view(complex)
-            if not mirror:  # (Re g) @ E + i (Im g) @ E
-                corr = corr[:rows] + 1j * corr[rows:]
-            np.abs(corr[iy - lo:, :grid.nx], out=out)
-            out *= inv_denom
-    else:
-        scene, wave = source
-        weights = _closed_form_weights(scene, wave)
-        centers = scene.centers
-        exps = _offset_exponents(centers, xs, ys)
-        # the (n_inc, rows, cols) temporaries of a tile stay within BAND_NODES
-        cols = max(1, BAND_NODES // (rows * weights.size))
-
-        def unit(tile: tuple, out: np.ndarray) -> None:
-            iy, lo = tile
-            _analytic_band_values(wave, centers, weights, exps, xs[lo:lo + cols],
-                                  ys[iy:iy + rows], out)
-
+    # the (n_inc, rows, cols) temporaries of a tile stay within BAND_NODES
+    cols = max(1, BAND_NODES // (rows * weights.size))
     values = np.empty((grid.ny, grid.nx))
 
     def fill(tile: tuple) -> None:
-        iy, lo = tile
-        unit(tile, values[iy:iy + rows, lo:lo + cols])  # each tile writes its slice
+        iy, lo = tile  # each tile writes its slice
+        _analytic_band_values(wave, centers, weights, exps, xs[lo:lo + cols],
+                              ys[iy:iy + rows], values[iy:iy + rows, lo:lo + cols])
 
     # band by band, each band left to right
     tiles = itertools.product(range(0, grid.ny, rows), range(0, grid.nx, cols))
@@ -376,7 +367,37 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     else:
         for tile in tiles:
             fill(tile)
+    return values
 
+
+def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
+                threads: int = 1) -> IndicatorMap:
+    """Evaluate the indicator at every grid node, then grid-max normalize.
+
+    Parameters
+    ----------
+    source : FarFieldData or (Scene, WaveContext)
+        Far-field data (requires ``wavenumber``) for the measured-data
+        indicator, or a scene/wave pair for the closed-form map.
+    grid : SearchGrid
+    wavenumber : float, required for a FarFieldData source
+    threads : int
+        Worker threads for the closed-form sweep, which maps over tiles of
+        ``BAND_ROWS`` rows and at most ``BAND_NODES`` terms, capped at the
+        CPU count. The data map ignores it and runs serially: BLAS already
+        threads its band products. The output is bit-identical for every
+        thread count and every BLAS thread count.
+
+    Raises ``ValueError`` for all-zero data, for data with no energy at
+    the modes the grid resolves (``_band_limited``), and for a map that
+    is all zero or not finite.
+    """
+    if isinstance(source, FarFieldData):
+        if wavenumber is None or not (wavenumber > 0):
+            raise ValueError("a positive wavenumber is required with data sources")
+        values = _data_values(source, grid, wavenumber)
+    else:
+        values = _closed_form_values(*source, grid, threads)
     peak = values.max()
     if peak == 0.0:
         raise ValueError("degenerate all-zero indicator map")
@@ -451,41 +472,6 @@ def extract_peaks(indicator_map: IndicatorMap, min_value: float,
             for n in kept]
 
 
-def _value_words(v: np.ndarray) -> np.ndarray:
-    """``f"{x:.17g}\\n"`` per value as 28 NUL-padded bytes: (n, 7) uint32.
-
-    Exact integer arithmetic on [1e-4, 1); Python formats other values.
-    """
-    fast = (v >= 1e-4) & (v < 1.0)
-    f = np.where(fast, v, 0.5)  # 0.5: placeholder for the other values
-    # e = -1 - floor(log10 f) exactly, as each double 10**-k lies above 10**-k.
-    e = (f < 0.1).astype(np.intp) + (f < 0.01) + (f < 0.001)
-    # 17 digits N = round-half-even(m * 5**s / 2**q) of f = m * 2**(ex - 53),
-    # s = 17 + e, q = 36 - e - ex, m * 5**s < 2**100 from 32-bit limbs; no
-    # double here rounds up to a power of ten, so N < 10**17.
-    frac, ex = np.frexp(f)
-    m, p = (frac * 2.0 ** 53).astype(np.uint64), _POW5[e]
-    m0, m1, p0, p1 = m & _M32, m >> _U32, p & _M32, p >> _U32
-    lo, mid = m0 * p0, m1 * p0 + m0 * p1
-    t = (lo >> _U32) + (mid & _M32)
-    low, high = (lo & _M32) | (t << _U32), m1 * p1 + (mid >> _U32) + (t >> _U32)
-    q = (36 - e - ex).astype(np.uint64)
-    n = (high << (np.uint64(64) - q)) | (low >> q)
-    rem, half = low & ((_ONE << q) - _ONE), _ONE << (q - _ONE)
-    n += (rem > half) | ((rem == half) & (n & _ONE == _ONE))
-    head, tail = (part.astype(np.intp) for part in np.divmod(n, _E8))
-    lead, hi = np.divmod(head, 10 ** 8)
-    out = np.full((v.size, 7), _NEWLINE, np.uint32)
-    out[:, :2] = _LEAD.take(10 * e + lead, axis=0)
-    groups = (hi // 10000, hi % 10000, tail // 10000, tail % 10000)
-    last = np.maximum.reduce([k * (g != 0) for k, g in enumerate(groups)])
-    for k, g in enumerate(groups):  # zero-stripped from the last nonzero one
-        out[:, 2 + k] = _GROUPS.take(g + 10000 * (k >= last))
-    out[~fast, :6] = np.array([f"{x:.17g}".encode() for x in v[~fast].tolist()],
-                              "S24").view(np.uint32).reshape(-1, 6)
-    return out
-
-
 def export_map(indicator_map: IndicatorMap, path, fmt: str) -> None:
     """Write a map to disk as ``csv`` or 16-bit binary ``pgm``.
 
@@ -513,10 +499,10 @@ def export_map(indicator_map: IndicatorMap, path, fmt: str) -> None:
                 for iy, lo in itertools.product(range(0, v.shape[0], rows),
                                                 range(0, v.shape[1], cols)):
                     band = v[iy:iy + rows, lo:lo + cols]
-                    words = np.empty((*band.shape, 21), np.uint32)
+                    words = np.empty((*band.shape, 22), np.uint32)
                     words[..., :7] = xw[lo:lo + cols]
                     words[..., 7:14] = yw[iy:iy + rows, np.newaxis]
-                    words[..., 14:] = _value_words(band.ravel()).reshape(*band.shape, 7)
+                    _value_words(band, _NEWLINE, words[..., 14:])
                     raw = words.view(np.uint8).ravel()
                     fh.write(raw[raw != 0])
         elif fmt == "pgm":

@@ -433,6 +433,26 @@ def test_exit_2_lines_name_the_bad_input(tmp_path, scene_file, capsys):
                  "--out", str(out)]) == 0
 
 
+def test_directions_off_by_more_than_1e_12_exit_2(tmp_path, scene_file, capsys):
+    # theta_x of direction 5 (about 0.981) times 1 + 4e-6 is 3.9e-6 off:
+    # within numpy's default rtol of 1e-5, but not the uniform set
+    data_dir = tmp_path / "data"
+    assert main(["synthesize", "--scene", str(scene_file),
+                 "--out", str(data_dir)]) == 0
+    rows = (data_dir / "farfield.csv").read_text().splitlines()
+    n, theta_x, rest = rows[5].split(",", 2)
+    rows[5] = f"{n},{float(theta_x) * (1 + 4e-6):.17g},{rest}"
+    bad = data_dir / "perturbed.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["image", "--data", str(bad), *COARSE, "--wavelength", "0.4",
+                 "--out", str(out)]) == 2
+    line = _one_error_line(capsys)
+    assert str(bad) in line and "uniform 256-point set" in line
+    assert not out.exists()
+
+
 def test_direction_cap_exits_2_without_outputs(tmp_path, capsys):
     # 10**15 directions would need petabytes, so a missing direction check
     # fails at once. The data map of 10**6 directions on 2 x 10**7 nodes

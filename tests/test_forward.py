@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsm2d.cli import example_scene
-from dsm2d.forward import (SNR_DB_FLOOR, FarFieldData, NoiseSpec,
+from dsm2d.forward import (BAND_NODES, SNR_DB_FLOOR, FarFieldData, NoiseSpec,
                            achieved_snr_db, add_noise, contrast_factor,
                            noise_document, read_far_field, synthesize_far_field,
                            write_far_field)
@@ -254,6 +254,34 @@ def test_noise_spec_floor_is_where_the_power_ratio_overflows(ex1_data):
         add_noise(ex1_data, NoiseSpec(snr_db=lowest))
 
 
+def _times_power_of_two(data, shift):
+    return FarFieldData(np.ldexp(data.samples.real, shift)
+                        + 1j * np.ldexp(data.samples.imag, shift))
+
+
+def test_noise_overflow_is_judged_on_the_unscaled_power(ex1_data):
+    # ex1 times 2^-900 at -3080 dB: scaled to unit size its noise power
+    # would overflow, but the real one is about 3e-234, so the run works.
+    # ex1 itself at -3080 dB has a noise power of about 2e308: an overflow.
+    tiny = _times_power_of_two(ex1_data, -900)
+    noisy = add_noise(tiny, NoiseSpec(snr_db=-3080.0, seed=5))
+    assert np.all(np.isfinite(noisy.samples))
+    assert achieved_snr_db(tiny, noisy) == pytest.approx(-3080.0, abs=1e-6)
+    with pytest.raises(ValueError, match="noise power overflows"):
+        add_noise(ex1_data, NoiseSpec(snr_db=-3080.0, seed=5))
+
+
+@pytest.mark.parametrize("shift", [-900, 900])
+def test_achieved_snr_takes_both_norms_on_one_scale(ex1_data, shift):
+    # |psi|^2 under- or overflows at 2^-+900; the SNR is still recovered.
+    # Noise 10^150 times the data overflows at 2^900, so -3000 dB runs at
+    # 2^-900 only.
+    clean = _times_power_of_two(ex1_data, shift)
+    for snr in (20.0, -3000.0) if shift < 0 else (20.0,):
+        noisy = add_noise(clean, NoiseSpec(snr_db=snr, seed=7))
+        assert achieved_snr_db(clean, noisy) == pytest.approx(snr, abs=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -335,3 +363,54 @@ def test_csv_rows_are_exact_17_digit_text(tmp_path, count):
                 zip(data.observation_set.directions, data.samples), start=1)]
     assert rows[2].endswith(",-0,-0")
     assert path.read_text() == "\n".join(["n,theta_x,theta_y,re,im", *rows]) + "\n"
+
+
+def _signed(x):
+    return st.tuples(x, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+_CSV_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    _signed(st.floats(1e-4, 1.0, exclude_max=True)),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0,
+                     *(sign * np.nextafter(1e-4, to) for sign in (1.0, -1.0)
+                       for to in (0.0, 1.0)), 1e-4, -1e-4]),
+    # exact ties at the 17th digit, which round half to even
+    _signed(st.integers(13107, 2 ** 17 - 1).map(lambda k: (2 * k + 1) * 2.0 ** -18)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.sampled_from([1, 7, 130, BAND_NODES + 1]),
+       values=st.lists(_CSV_FLOATS, min_size=1, max_size=48))
+def test_far_field_csv_bytes_are_the_17g_reference(tmp_path_factory, count, values):
+    # The drawn values, repeated, fill the real and imaginary parts; one
+    # count crosses a chunk boundary of the writer.
+    parts = np.resize(np.array(values), 2 * count)
+    samples = np.empty(count, dtype=complex)
+    samples.real, samples.imag = parts[:count], parts[count:]
+    data = FarFieldData(samples)
+    path = tmp_path_factory.mktemp("farfield") / "farfield.csv"
+    write_far_field(data, path)
+    rows = "".join(f"{n},{tx:.17g},{ty:.17g},{re:.17g},{im:.17g}\n"
+                   for n, (tx, ty), re, im in zip(
+                       range(1, count + 1), data.observation_set.directions.tolist(),
+                       samples.real.tolist(), samples.imag.tolist()))
+    assert path.read_bytes() == ("n,theta_x,theta_y,re,im\n" + rows).encode("ascii")
+
+
+def test_far_field_writer_stays_small_at_a_million_directions(tmp_path):
+    # Chunks of BAND_NODES // 4 rows: the savetxt writer's column_stack
+    # alone took 40 MB at N = 10^6, and its whole write 48 MB (tracemalloc,
+    # numpy 2.4).
+    import tracemalloc
+
+    count = 10 ** 6
+    rng = np.random.default_rng(1)
+    data = FarFieldData(0.1 * (rng.standard_normal(count) + 1j * rng.standard_normal(count)))
+    tracemalloc.start()
+    try:
+        write_far_field(data, tmp_path / "farfield.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dsm2d.cli import example_scene
-from dsm2d.forward import (FarFieldData, NoiseSpec, add_noise, contrast_factor,
-                           synthesize_far_field, unit_scaled)
+from dsm2d.forward import (_NEWLINE, FarFieldData, NoiseSpec, _value_words,
+                           add_noise, contrast_factor, synthesize_far_field,
+                           unit_scaled)
 from dsm2d import imaging
 from dsm2d.imaging import (BAND_ROWS, MAX_GRID_NODES, PEAK_TIE, IndicatorMap,
                            Peak, SearchGrid, _analytic_band_values,
-                           _closed_form_weights, _value_words, compute_map,
+                           _closed_form_weights, compute_map,
                            export_map, extract_peaks)
 from dsm2d.indicator import (closed_form_magnitude, dsm_indicator_raw,
                              predicted_peaks)
@@ -77,15 +78,18 @@ def test_data_map_matches_scalar_indicator(ex1_data, demo_wave):
 
 @settings(max_examples=40, deadline=None)
 @given(count=st.one_of(st.integers(1, 70), st.sampled_from(
-           [129, 130, 255, 257, 766, 768, 770, 1026, 1537])),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_folded_data_map_matches_scalar_indicator(count, seed, demo_wave):
+           [129, 130, 255, 257, 766, 768, 770, 1026, 1537, 1540])),
+       seed=st.integers(0, 2 ** 32 - 1), ny=st.sampled_from([2, 3, 9]))
+def test_folded_data_map_matches_scalar_indicator(count, seed, ny, demo_wave):
     # The fold takes direction m with its mirrors N - m, N/2 - m and
     # N/2 + m; odd N, every N mod 4, N = 1 and 2 (no pairs), and inner
-    # widths on both sides of GEMM_CHUNK (several chunks from 129 up, for
-    # both the even fold and the odd one-block fold) all go through it.
-    # Every count stays below N': 112 on the small grid; the counts from
-    # 129 up use a 5 x 4 grid reaching 50 from the origin, where N' = 1772.
+    # widths on both sides of GEMM_CHUNK (two chunks at 1025 and 1537 for
+    # the odd one-block fold, and at 1540 for the even fold) all go
+    # through it. The rows fold too: 9, 3 and 2 rows (the last two off the
+    # origin, so the samples take the centre phase) and 4 rows. Every
+    # count stays below N': at least 92 on the small grids; the counts
+    # from 129 up use a 5 x 4 grid reaching 50 from its centre, where
+    # N' = 1772.
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-0.8, 0.8, (2, 2))
     if np.array_equal(centers[0], centers[1]):
@@ -93,7 +97,7 @@ def test_folded_data_map_matches_scalar_indicator(count, seed, demo_wave):
     scene = Scene(1.0, tuple(Inhomogeneity(c, 0.05, rng.uniform(1.5, 10.0))
                              for c in centers))
     data = synthesize_far_field(scene, demo_wave, make_observation_set(count))
-    grid = (SearchGrid(-1.0, 1.0, -1.0, 1.0, 0.25) if count <= 70
+    grid = (SearchGrid(-1.0, 1.0, -1.0, -1.0 + 0.25 * (ny - 1), 0.25) if count <= 70
             else SearchGrid(-40.0, 40.0, -30.0, 30.0, 20.0))
     k = demo_wave.wavenumber
     assert count < _resampled_count(grid, k)
@@ -104,9 +108,9 @@ def test_folded_data_map_matches_scalar_indicator(count, seed, demo_wave):
 
 
 def _resampled_count(grid, k):
-    # N' for a grid: 2L + 2 rounded up to a multiple of 4, L the tail order of kR
-    radius = max(np.hypot(x, y) for x in (grid.x_min, grid.x_nodes()[-1])
-                 for y in (grid.y_min, grid.y_nodes()[-1]))
+    # N' for a grid: 2L + 2 rounded up to a multiple of 4, L the tail order
+    # of kR, R half the diagonal of the nodes
+    radius = np.hypot(grid.step * (grid.nx - 1) / 2, grid.step * (grid.ny - 1) / 2)
     return -(-(2 * bessel_tail_order(k * radius) + 2) // 4) * 4
 
 
@@ -124,8 +128,8 @@ def _direct_map(data, grid, k):
                              SearchGrid(0.2, 2.0, -0.6, 1.4, 0.1)]))
 def test_resampled_data_map_matches_the_direct_sum(seed, extra, snr, grid,
                                                    demo_wave):
-    # N from N' to 4N', odd N included, noise down to 0 dB, a centred grid
-    # and one whose far corner sets R.
+    # N from N' to 4N', odd N included, noise down to 0 dB, a grid centred
+    # on the origin and one centred at (1.1, 0.4).
     k = demo_wave.wavenumber
     n_prime = _resampled_count(grid, k)
     count = n_prime + extra % (3 * n_prime + 1)
@@ -161,6 +165,77 @@ def test_resampled_ex1_map_keeps_its_peaks(ex1_data, ex1_data_map, demo_wave,
     assert np.max(np.abs(direct.values - ex1_data_map.values)) <= 1e-14
     got, want = (extract_peaks(m, 0.5, 0.05) for m in (ex1_data_map, direct))
     assert [p.position.tolist() for p in got] == [p.position.tolist() for p in want]
+
+
+def _shifted(scene, shift):
+    return Scene(scene.background_permeability,
+                 tuple(Inhomogeneity(inc.center + shift, inc.radius, inc.permeability)
+                       for inc in scene.inclusions))
+
+
+_SHIFT = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sx=_SHIFT, sy=_SHIFT, same=st.booleans(),
+       count=st.sampled_from([113, 256, 1025, 4096]))
+def test_shifted_data_map_stays_near_the_closed_form(sx, sy, same, count, demo_wave):
+    # Scene and grid moved together by s, (s, s) or any (sx, sy), with N at
+    # or above N' = 112: the data map stays within (32 + 2 k|s|) 2^-52 of
+    # the closed form (measured up to 0.6 k|s| 2^-52 over s = 2 .. 1e3 on
+    # the 401 x 401 grid). The data carry most of it, since synthesis
+    # rounds phases of size k|x_m|.
+    shift = np.array([sx, sx if same else sy])
+    scene = _shifted(example_scene("ex3"), shift)
+    grid = SearchGrid(-1.0 + shift[0], 1.0 + shift[0], -1.0 + shift[1],
+                      1.0 + shift[1], 0.05)
+    k = demo_wave.wavenumber
+    data = synthesize_far_field(scene, demo_wave, make_observation_set(count))
+    error = np.max(np.abs(compute_map(data, grid, wavenumber=k).values
+                          - compute_map((scene, demo_wave), grid).values))
+    assert error <= (32.0 + 2.0 * k * np.hypot(*shift)) * 2.0 ** -52
+
+
+def test_centre_phase_has_the_sign_of_the_test_function(ex1_data, demo_wave):
+    # e^{ik theta.z} = e^{ik theta.z0} e^{ik theta.(z - z0)}: the samples are
+    # multiplied by e^{+ik theta.z0}, z0 = (0.8, 0.35) here. The scalar
+    # oracle pins that sign: the other one, which maps the samples times
+    # e^{-2ik theta.z0}, is far from it.
+    grid = SearchGrid(0.3, 1.3, -0.2, 0.9, 0.1)
+    k = demo_wave.wavenumber
+    brute = np.array([[dsm_indicator_raw(ex1_data, k, np.array([x, y]))
+                       for x in grid.x_nodes()] for y in grid.y_nodes()])
+    brute /= brute.max()
+    assert np.allclose(compute_map(ex1_data, grid, wavenumber=k).values, brute,
+                       rtol=0.0, atol=1e-12)
+    z0 = np.array([grid.x_min + grid.step * (grid.nx - 1) / 2,
+                   grid.y_min + grid.step * (grid.ny - 1) / 2])
+    assert np.allclose(z0, [0.8, 0.35], rtol=0.0, atol=1e-15)
+    theta = ex1_data.observation_set.directions
+    flipped = FarFieldData(ex1_data.samples * np.exp(-2j * k * (theta @ z0)))
+    assert np.max(np.abs(compute_map(flipped, grid, wavenumber=k).values - brute)) > 0.5
+
+
+def test_resampled_count_does_not_depend_on_the_grid_position(ex1_scene, demo_wave,
+                                                              monkeypatch):
+    # R is measured from the grid's centre, so the default-size grid moved
+    # anywhere resamples to the same N' = 112 (L = 55) as at the origin.
+    seen = []
+    band_limited = imaging._band_limited
+
+    def spy(psi, order, count):
+        seen.append((order, count))
+        return band_limited(psi, order, count)
+
+    monkeypatch.setattr(imaging, "_band_limited", spy)
+    k = demo_wave.wavenumber
+    shifts = (0.0, 2.0, 10.0, 100.0, 1000.0, -1000.0)
+    for s in shifts:
+        scene = _shifted(ex1_scene, np.array([s, s]))
+        data = synthesize_far_field(scene, demo_wave, make_observation_set(256))
+        compute_map(data, SearchGrid(-1.0 + s, 1.0 + s, -1.0 + s, 1.0 + s, 0.05),
+                    wavenumber=k)
+    assert seen == [(55, 112)] * len(shifts)
 
 
 @pytest.mark.parametrize("count", [64, 101, 256])
@@ -471,12 +546,14 @@ def test_closed_form_pool_is_capped_at_the_cpu_count(monkeypatch, ex2_scene, dem
     assert unknown.values.tobytes() == serial
 
 # Hashes the data map of ex2 on grids 401 nodes wide whose 32, 33 and 34
-# rows leave a last band of 0, 1 and 2 rows, on one of 9 rows (shorter than
-# a band) and on one 403 nodes wide (nx = 3 mod 4), for direction counts
-# whose inner widths are 66, 128 (odd N, one block), 130 and 152, and 264
-# or 266 for the counts resampled to N' = 524 or 528. The grids are wide
-# enough for OpenBLAS to split each band product over threads;
-# _WIDE_BLAS_PROBE covers inner widths above GEMM_CHUNK.
+# rows put 16, 17 and 17 rows on the v >= 0 side (one band, or a second
+# one shifted back by 15), on ones of 9, 3 and 2 rows (a single short
+# band), on one 403 nodes wide (nx = 3 mod 4) and on one whose centre is
+# off the origin on both axes, for direction counts whose inner widths are
+# 33, 128 (odd N, one block), 65 and 76, and 132 for the counts resampled
+# to N' = 524. The grids are wide enough for OpenBLAS to split each band
+# product over threads; _WIDE_BLAS_PROBE covers inner widths above
+# GEMM_CHUNK.
 _BLAS_PROBE = """
 import hashlib
 from dsm2d.cli import example_scene, example_wave
@@ -486,11 +563,14 @@ from dsm2d.model import make_observation_set
 wave = example_wave()
 for count in (130, 255, 256, 300, 768, 770, 1024, 1537):
     data = synthesize_far_field(example_scene("ex2"), wave, make_observation_set(count))
-    for nx, ny in ((401, 2 * BAND_ROWS), (401, 2 * BAND_ROWS + 1),
-                   (401, 2 * BAND_ROWS + 2), (401, BAND_ROWS // 2 + 1),
-                   (403, 2 * BAND_ROWS + 1)):
-        grid = SearchGrid(-12.5, -12.5 + (nx - 1) * 0.0625,
-                          -1.0, -1.0 + (ny - 1) * 0.0625, 0.0625)
+    for x0, y0, nx, ny in ((-12.5, -1.0, 401, 2 * BAND_ROWS),
+                           (-12.5, -1.0, 401, 2 * BAND_ROWS + 1),
+                           (-12.5, -1.0, 401, 2 * BAND_ROWS + 2),
+                           (-12.5, -1.0, 401, BAND_ROWS // 2 + 1),
+                           (-12.5, -1.0, 403, 2 * BAND_ROWS + 1),
+                           (-12.5, -1.0, 401, 2), (-12.5, -1.0, 401, 3),
+                           (0.37, -2.71, 401, 41)):
+        grid = SearchGrid(x0, x0 + (nx - 1) * 0.0625, y0, y0 + (ny - 1) * 0.0625, 0.0625)
         assert (grid.nx, grid.ny) == (nx, ny)
         values = compute_map(data, grid, wavenumber=wave.wavenumber).values
         print(count, nx, ny, hashlib.sha256(values.tobytes()).hexdigest())
@@ -498,19 +578,21 @@ for count in (130, 255, 256, 300, 768, 770, 1024, 1537):
 
 
 def test_data_map_is_bit_invariant_under_blas_thread_count(fresh_python):
+    # ny = 2 puts one row on each side of the centre: its band also holds
+    # the mirror row, as a 1-row product rounds by the thread count.
     single = fresh_python(_BLAS_PROBE, OPENBLAS_NUM_THREADS="1").splitlines()
     assert [line.split()[:3] for line in single] == [
         [str(count), nx, ny] for count in (130, 255, 256, 300, 768, 770, 1024, 1537)
         for nx, ny in (("401", "32"), ("401", "33"), ("401", "34"), ("401", "9"),
-                       ("403", "33"))]
+                       ("403", "33"), ("401", "2"), ("401", "3"), ("401", "41"))]
     assert fresh_python(_BLAS_PROBE, OPENBLAS_NUM_THREADS="2").splitlines() == single
 
 
-# Hashes the data map of ex2 on a 401 x 301 grid reaching 50 from the
-# origin (kR = 785, L = 885, N' = 1772), in 19 bands of 16 rows, the last
-# shifted back by 3: even N below N' with inner widths 386 and 514,
-# odd N below N' with one-block widths 384 and 513, and N = 2048
-# resampled to N' (inner width 888).
+# Hashes the data map of ex2 on a 401 x 301 grid reaching 50 from its
+# centre (kR = 785, L = 885, N' = 1772), 151 rows on the v >= 0 side in 10
+# bands of 16 rows, the last shifted back by 9: even N below N' with inner
+# widths 193 and 257, odd N below N' with one-block widths 384 and 513,
+# and N = 2048 resampled to N' (inner width 444).
 _WIDE_BLAS_PROBE = """
 import hashlib
 from dsm2d.cli import example_scene, example_wave
@@ -860,7 +942,10 @@ def test_csv_export_of_a_wide_map_bands_by_nodes(tmp_path):
 
 def _formatted(values):
     # the value field of each CSV line, without its newline
-    words = _value_words(np.asarray(values, dtype=float)).view(np.uint8)
+    values = np.asarray(values, dtype=float)
+    words = np.empty((values.size, 8), np.uint32)
+    _value_words(values, _NEWLINE, words)
+    words = words.view(np.uint8)
     return [bytes(row[row != 0]).decode("ascii").removesuffix("\n")
             for row in words]
 
