@@ -84,8 +84,8 @@ def _parse_grid(spec: str) -> SearchGrid:
 def _data_map_grid(spec: str, count: int) -> SearchGrid:
     """``_parse_grid`` for a data map over ``count`` directions: N (nx + ny),
     a bound on the phases the map takes and so on the entries of its stored
-    matrix W (about min(N, N')/2 x nx complex, N' as in ``imaging``), must
-    fit under ``MAX_GRID_NODES``."""
+    matrix W (about min(N, N')/2 x nx complex, N' as in ``imaging``, or
+    N x nx for an odd N below N'), must fit under ``MAX_GRID_NODES``."""
     grid = _parse_grid(spec)
     if count * (grid.nx + grid.ny) > MAX_GRID_NODES:
         raise ValueError(f"--grid {spec!r} with {count} directions: the data "

@@ -289,12 +289,16 @@ def read_far_field(csv_path):
     """
     csv_path = Path(csv_path)
     try:
-        rows = csv_path.read_text().strip().splitlines()
-        if not rows or rows[0] != CSV_HEADER:
-            raise ValueError(f"expected header '{CSV_HEADER}'")
-        if len(rows) == 1:
-            raise ValueError("no samples")
-        values = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
+        with open(csv_path) as fh:
+            if fh.readline().rstrip("\n") != CSV_HEADER:
+                raise ValueError(f"expected header '{CSV_HEADER}'")
+            # loadtxt warns on input with no rows: find one first, then
+            # hand it the rest of the file from just after the header
+            start = fh.tell()
+            if not any(line.strip() for line in fh):
+                raise ValueError("no samples")
+            fh.seek(start)
+            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         if values.shape[1] != 5 or not np.all(np.isfinite(values)):
             raise ValueError("every row needs 5 finite values")
         data = FarFieldData(values[:, 3] + 1j * values[:, 4])

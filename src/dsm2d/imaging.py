@@ -1,15 +1,13 @@
 """Search grids, indicator-map assembly, peak extraction, file export.
 
 Maps are evaluated over a rectangular node grid and normalized by their
-grid maximum. Both sweeps run over bands of ``BAND_ROWS`` rows. The
-closed form runs elementwise, cuts each band into column tiles of at most
-``BAND_NODES`` (inclusion, node) terms, and can map its tiles over a
-thread pool.
-The data map sweeps only the rows on one side of the grid's centre, with
-fixed-shape matrix products per band, always serially, since BLAS threads
-each product; each band's moduli are written straight into its rows and
-their mirror rows. Every map is bit-identical for any worker count and
-any BLAS thread count.
+grid maximum. Both sweeps run over bands of at most ``BAND_ROWS`` rows.
+The closed form runs elementwise over the tiles of ``_tiles``, and can map
+them over a thread pool. The data map sweeps only the rows on one side of
+the grid's centre, with fixed-shape matrix products per band, always
+serially, since BLAS threads each product; each band's moduli are written
+straight into its rows and their mirror rows. Every map is bit-identical
+for any worker count and any BLAS thread count.
 
 The closed form scales inclusion m's offsets x_m - x by s_m = 2^-e_m, one
 exact power of two per map, with e_m from ``frexp`` of the largest
@@ -58,29 +56,23 @@ sin(k v s) odd, so rows v and -v get E + O and E - O with
 E = cos(k v s) @ W1 and O = sin(k v s) @ W2, each a real product with
 ``W.view(float)`` viewed as complex. Only the ceil(ny/2) rows with v >= 0
 are multiplied, in bands of ``BAND_ROWS`` rows, and row i's E - O goes to
-row ny - 1 - i. For odd N, psi3 = psi4 = 0 makes e = a and f = b, so
-W1 = a (C + i S) and W2 = i b (C + i S): only the block C + i S is built
-and the data go to the rows. E comes from g = a cos(k v s) and O from
-h = i b sin(k v s), both in one product
-``[Re g; Im g; Re h; Im h] @ W.view(float)`` recombined as
-Re-part + i Im-part. Two rules, measured with OpenBLAS 0.3.31 (Haswell
-kernels) at 1 and 2 threads, keep the bits independent of the thread
-count: W's nx complex columns are zero-padded to a multiple of 4 (at 802
-real output columns the last 2 differed), and the inner dimension is cut
-into ``GEMM_CHUNK``-wide pieces whose products are summed in order (from
-an inner width of 396 up, products differed). A third is kept from the
+row ny - 1 - i. Two rules, measured with OpenBLAS 0.3.31 (Haswell kernels)
+at 1 and 2 threads, keep the bits independent of the thread count: W's nx
+complex columns are zero-padded to a multiple of 4 (at 802 real output
+columns the last 2 differed), and the inner dimension is cut into
+``GEMM_CHUNK``-wide pieces whose products are summed in order (from an
+inner width of 396 up, products differed). A third is kept from the
 earlier band loop, where a 1-row last band rounded by the thread count:
 no product has one row. A band has at least 2 rows and the last band is
 shifted back to a full one, so when ny = 2 the band holds both rows.
 
 Exports: CSV (``x,y,value`` per node, exact ``%.17g`` digits from
-``forward``'s integer kernel, streamed per band of at most ``BAND_NODES``
-nodes) and PGM (P5, 16-bit big-endian, top = y_max).
+``forward``'s integer kernel, streamed per tile of ``_tiles``) and PGM
+(P5, 16-bit big-endian, top = y_max).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -296,16 +288,13 @@ def _data_values(data: FarFieldData, grid: SearchGrid, wavenumber: float) -> np.
     s12, d12, s34, d34 = p1 + p2, p1 - p2, p3 + p4, p3 - p4
     a, e, b, f = s12 + s34, s12 - s34, d12 + d34, d12 - d34
     cos_m, sin_m = directions[m - 1].T
-    # W1 (to cos(k v s)) and W2 (to sin(k v s)), or for odd N the one block
-    w = np.zeros((2 if mirror else 1, m.size, -(-nx // 4) * 4), dtype=complex)
+    # W1 (to cos(k v s)) and W2 (to sin(k v s))
+    w = np.zeros((2, m.size, -(-nx // 4) * 4), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         phase_x = wavenumber * np.outer(cos_m, u)
         c, s = np.cos(phase_x), np.sin(phase_x)
-        if mirror:
-            w[0, :, :nx] = a[:, None] * c + (1j * e)[:, None] * s
-            w[1, :, :nx] = (1j * b)[:, None] * c - f[:, None] * s
-        else:  # e = a, f = b: one block C + i S, the data go to the rows
-            w[0, :, :nx] = c + 1j * s
+        w[0, :, :nx] = a[:, None] * c + (1j * e)[:, None] * s
+        w[1, :, :nx] = (1j * b)[:, None] * c - f[:, None] * s
     del phase_x, c, s
     w = w.view(float)
     chunks = [slice(lo, lo + GEMM_CHUNK) for lo in range(0, m.size, GEMM_CHUNK)]
@@ -319,21 +308,29 @@ def _data_values(data: FarFieldData, grid: SearchGrid, wavenumber: float) -> np.
         lo = min(iy, ny - rows)
         with np.errstate(over="ignore", invalid="ignore"):
             phase_y = wavenumber * np.outer(v[lo:lo + rows], sin_m)
-            cos_y, sin_y = np.cos(phase_y), np.sin(phase_y)
-            if mirror:
-                even = _products(cos_y, w[0], chunks)
-                odd = _products(sin_y, w[1], chunks)
-            else:  # (Re g) @ W + i (Im g) @ W for g = a cos_y, then i b sin_y
-                g, h = a * cos_y, (1j * b) * sin_y
-                prod = _products(np.concatenate([g.real, g.imag, h.real, h.imag]),
-                                 w[0], chunks)
-                even = prod[:rows] + 1j * prod[rows:2 * rows]
-                odd = prod[2 * rows:3 * rows] + 1j * prod[3 * rows:]
+            even = _products(np.cos(phase_y), w[0], chunks)
+            odd = _products(np.sin(phase_y), w[1], chunks)
             skip = iy - lo
             np.abs(even[skip:, :nx] + odd[skip:, :nx], out=values[iy:lo + rows])
             even -= odd
             np.abs(even[skip:, :nx], out=values[ny - lo - rows:ny - iy][::-1])
     return values
+
+
+def _tiles(ny: int, nx: int, budget: int):
+    """``(row slice, column slice)`` of each tile of an ny x nx sweep, band
+    by band, each band left to right.
+
+    Bands have min(``BAND_ROWS``, budget // nx) rows, at least 1, and a row
+    wider than ``budget`` goes in column chunks of ``budget`` nodes: no tile
+    holds more than ``budget`` nodes, and the nodes come out y outer, x
+    inner.
+    """
+    rows = min(BAND_ROWS, max(1, budget // nx))
+    cols = min(nx, budget)
+    for iy in range(0, ny, rows):
+        for lo in range(0, nx, cols):
+            yield slice(iy, iy + rows), slice(lo, lo + cols)
 
 
 def _closed_form_values(scene: Scene, wave: WaveContext, grid: SearchGrid,
@@ -344,18 +341,15 @@ def _closed_form_values(scene: Scene, wave: WaveContext, grid: SearchGrid,
     weights = _closed_form_weights(scene, wave)
     centers = scene.centers
     exps = _offset_exponents(centers, xs, ys)
-    rows = min(BAND_ROWS, grid.ny)
-    # the (n_inc, rows, cols) temporaries of a tile stay within BAND_NODES
-    cols = max(1, BAND_NODES // (rows * weights.size))
     values = np.empty((grid.ny, grid.nx))
 
     def fill(tile: tuple) -> None:
-        iy, lo = tile  # each tile writes its slice
-        _analytic_band_values(wave, centers, weights, exps, xs[lo:lo + cols],
-                              ys[iy:iy + rows], values[iy:iy + rows, lo:lo + cols])
+        rows, cols = tile  # each tile writes its slice
+        _analytic_band_values(wave, centers, weights, exps, xs[cols], ys[rows],
+                              values[rows, cols])
 
-    # band by band, each band left to right
-    tiles = itertools.product(range(0, grid.ny, rows), range(0, grid.nx, cols))
+    # the (n_inc, rows, cols) temporaries of a tile stay within BAND_NODES
+    tiles = _tiles(grid.ny, grid.nx, max(1, BAND_NODES // weights.size))
     # pool.map submits every tile at once, so the pool would start `threads`
     # OS threads if there are that many tiles
     threads = min(threads, os.cpu_count() or 1)
@@ -382,11 +376,11 @@ def compute_map(source, grid: SearchGrid, *, wavenumber: float = None,
     grid : SearchGrid
     wavenumber : float, required for a FarFieldData source
     threads : int
-        Worker threads for the closed-form sweep, which maps over tiles of
-        ``BAND_ROWS`` rows and at most ``BAND_NODES`` terms, capped at the
-        CPU count. The data map ignores it and runs serially: BLAS already
-        threads its band products. The output is bit-identical for every
-        thread count and every BLAS thread count.
+        Worker threads for the closed-form sweep, which maps over the
+        ``_tiles`` of at most ``BAND_NODES`` (inclusion, node) terms,
+        capped at the CPU count. The data map ignores it and runs serially:
+        BLAS already threads its band products. The output is bit-identical
+        for every thread count and every BLAS thread count.
 
     Raises ``ValueError`` for all-zero data, for data with no energy at
     the modes the grid resolves (``_band_limited``), and for a map that
@@ -476,10 +470,10 @@ def export_map(indicator_map: IndicatorMap, path, fmt: str) -> None:
     """Write a map to disk as ``csv`` or 16-bit binary ``pgm``.
 
     CSV rows run y ascending (outer) and x ascending (inner), numbers as
-    exact ``%.17g``, streamed per band of at most ``BAND_ROWS`` rows and
-    ``BAND_NODES`` nodes as a matrix of NUL-padded x, y and value words
-    with the NULs dropped. PGM is P5 with maxval 65535, big-endian samples
-    round(65535 * v), top row at y_max.
+    exact ``%.17g``, streamed per ``_tiles`` tile of at most ``BAND_NODES``
+    nodes as a matrix of NUL-padded x, y and value words with the NULs
+    dropped. PGM is P5 with maxval 65535, big-endian samples round(65535 *
+    v), top row at y_max.
     """
     path = Path(path)
     v = indicator_map.values
@@ -490,18 +484,13 @@ def export_map(indicator_map: IndicatorMap, path, fmt: str) -> None:
                                "S28").view(np.uint32).reshape(-1, 7)
                       for nodes in (indicator_map.grid.x_nodes(),
                                     indicator_map.grid.y_nodes()))
-            # bands of at most BAND_NODES nodes; a wider row goes in column
-            # chunks, so the lines stay y outer, x inner
-            rows = min(BAND_ROWS, max(1, BAND_NODES // v.shape[1]))
-            cols = min(v.shape[1], BAND_NODES)
             with open(path, "wb") as fh:
                 fh.write(b"x,y,value\n")
-                for iy, lo in itertools.product(range(0, v.shape[0], rows),
-                                                range(0, v.shape[1], cols)):
-                    band = v[iy:iy + rows, lo:lo + cols]
+                for rows, cols in _tiles(*v.shape, BAND_NODES):
+                    band = v[rows, cols]
                     words = np.empty((*band.shape, 22), np.uint32)
-                    words[..., :7] = xw[lo:lo + cols]
-                    words[..., 7:14] = yw[iy:iy + rows, np.newaxis]
+                    words[..., :7] = xw[cols]
+                    words[..., 7:14] = yw[rows, np.newaxis]
                     _value_words(band, _NEWLINE, words[..., 14:])
                     raw = words.view(np.uint8).ravel()
                     fh.write(raw[raw != 0])

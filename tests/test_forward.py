@@ -350,6 +350,38 @@ def test_read_rejects_bad_header(tmp_path):
         read_far_field(path)
 
 
+@pytest.mark.parametrize("text", ["n,theta_x,theta_y,re,im",
+                                  "n,theta_x,theta_y,re,im\n",
+                                  "n,theta_x,theta_y,re,im\n\n \n\t\n"])
+def test_read_of_a_header_alone_has_no_samples(tmp_path, text):
+    # found before loadtxt, whose "input contained no data" UserWarning
+    # the suite turns into an error
+    path = tmp_path / "farfield.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="no samples"):
+        read_far_field(path)
+
+
+def test_far_field_reader_streams_the_file(tmp_path):
+    # The reader that split the whole text into one string per row peaked
+    # at 27.3 MB on this file (tracemalloc, numpy 2.4).
+    import tracemalloc
+
+    count = 10 ** 5
+    rng = np.random.default_rng(2)
+    data = FarFieldData(0.1 * (rng.standard_normal(count) + 1j * rng.standard_normal(count)))
+    path = tmp_path / "farfield.csv"
+    write_far_field(data, path)
+    tracemalloc.start()
+    try:
+        loaded, _ = read_far_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.samples.tobytes() == data.samples.tobytes()
+    assert peak <= 0.6 * 27.3e6
+
+
 @pytest.mark.parametrize("count", [7, 130])
 def test_csv_rows_are_exact_17_digit_text(tmp_path, count):
     rng = np.random.default_rng(count)

@@ -83,9 +83,9 @@ def test_data_map_matches_scalar_indicator(ex1_data, demo_wave):
 def test_folded_data_map_matches_scalar_indicator(count, seed, ny, demo_wave):
     # The fold takes direction m with its mirrors N - m, N/2 - m and
     # N/2 + m; odd N, every N mod 4, N = 1 and 2 (no pairs), and inner
-    # widths on both sides of GEMM_CHUNK (two chunks at 1025 and 1537 for
-    # the odd one-block fold, and at 1540 for the even fold) all go
-    # through it. The rows fold too: 9, 3 and 2 rows (the last two off the
+    # widths on both sides of GEMM_CHUNK (N//2 + 1 for odd N: 513 at 1025
+    # and 769 at 1537; N//4 + 1 for even N: 386 at 1540) all go through
+    # it. The rows fold too: 9, 3 and 2 rows (the last two off the
     # origin, so the samples take the centre phase) and 4 rows. Every
     # count stays below N': at least 92 on the small grids; the counts
     # from 129 up use a 5 x 4 grid reaching 50 from its centre, where
@@ -492,10 +492,10 @@ def test_map_thread_count_is_bit_invariant(ex1_data, ex2_scene, demo_wave):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_closed_form_column_tiles_keep_the_untiled_bits(threads, monkeypatch,
                                                         ex3_scene, demo_wave):
-    # 1601 columns x 16 rows x 3 inclusions is 76,848 terms a band: each
-    # band is cut into two tiles of 1365 and 236 columns.
-    grid = SearchGrid(-4.0, 4.0, -0.2, 0.2, 0.005)
-    assert (grid.nx, grid.ny) == (1601, 81)
+    # 24001 columns x 3 inclusions is more than BAND_NODES terms a row:
+    # bands of one row, each cut into tiles of 21845 and 2156 columns.
+    grid = SearchGrid(-60.0, 60.0, -0.01, 0.01, 0.005)
+    assert (grid.nx, grid.ny) == (24001, 5)
     sizes = []
 
     def counted_j1(x):
@@ -504,13 +504,28 @@ def test_closed_form_column_tiles_keep_the_untiled_bits(threads, monkeypatch,
 
     monkeypatch.setattr(imaging, "bessel_j1", counted_j1)
     tiled = compute_map((ex3_scene, demo_wave), grid, threads=threads)
-    assert len(sizes) == 2 * 6 and max(sizes) <= imaging.BAND_NODES
+    assert len(sizes) == 2 * 5 and max(sizes) <= imaging.BAND_NODES
     monkeypatch.setattr(imaging, "BAND_NODES", 10 ** 9)
     sizes.clear()
     untiled = compute_map((ex3_scene, demo_wave), grid, threads=1)
-    assert len(sizes) == 6
+    assert len(sizes) == 1
     assert tiled.values.tobytes() == untiled.values.tobytes()
 
+
+@settings(max_examples=200, deadline=None)
+@given(ny=st.integers(1, 3000), nx=st.integers(1, 3000), data=st.data())
+def test_tiles_cover_each_node_once_y_outer_x_inner(ny, nx, data):
+    # budgets below nx cut rows into column chunks; above it, bands
+    budget = data.draw(st.one_of(st.integers(max(1, nx // 4), nx),
+                                 st.integers(nx, 20 * BAND_ROWS * nx)))
+    following = 0  # flat index of the next node in y outer, x inner order
+    for rows, cols in imaging._tiles(ny, nx, budget):
+        height, width = len(range(ny)[rows]), len(range(nx)[cols])
+        assert 0 < height * width <= budget and height <= BAND_ROWS
+        assert height == 1 or width == nx
+        assert rows.start * nx + cols.start == following
+        following += height * width
+    assert following == ny * nx
 
 
 def test_closed_form_pool_is_capped_at_the_cpu_count(monkeypatch, ex2_scene, demo_wave):
@@ -550,7 +565,7 @@ def test_closed_form_pool_is_capped_at_the_cpu_count(monkeypatch, ex2_scene, dem
 # one shifted back by 15), on ones of 9, 3 and 2 rows (a single short
 # band), on one 403 nodes wide (nx = 3 mod 4) and on one whose centre is
 # off the origin on both axes, for direction counts whose inner widths are
-# 33, 128 (odd N, one block), 65 and 76, and 132 for the counts resampled
+# 33, 128 (odd N, N//2 + 1), 65 and 76, and 132 for the counts resampled
 # to N' = 524. The grids are wide enough for OpenBLAS to split each band
 # product over threads; _WIDE_BLAS_PROBE covers inner widths above
 # GEMM_CHUNK.
@@ -591,8 +606,8 @@ def test_data_map_is_bit_invariant_under_blas_thread_count(fresh_python):
 # Hashes the data map of ex2 on a 401 x 301 grid reaching 50 from its
 # centre (kR = 785, L = 885, N' = 1772), 151 rows on the v >= 0 side in 10
 # bands of 16 rows, the last shifted back by 9: even N below N' with inner
-# widths 193 and 257, odd N below N' with one-block widths 384 and 513,
-# and N = 2048 resampled to N' (inner width 444).
+# widths 193 and 257, odd N below N' with inner widths 384 and 513 (N//2 +
+# 1), and N = 2048 resampled to N' (inner width 444).
 _WIDE_BLAS_PROBE = """
 import hashlib
 from dsm2d.cli import example_scene, example_wave
