@@ -12,7 +12,8 @@ and its compute phase; the rest writes. ``main`` alone maps an exception
 to an exit code: ``ValueError`` or ``OSError`` while reading exits 2, a
 ``ValueError`` while computing exits 1 (degenerate), and an ``OSError``
 while writing exits 2 (an output that exists without ``--force`` is a
-``FileExistsError``). A run that fails before writing creates nothing.
+``FileExistsError``; one that is not a regular file fails before any
+write). A run that fails before writing creates nothing.
 Every command is deterministic for a fixed configuration and seed.
 """
 
@@ -119,18 +120,21 @@ def _write_outputs(args, outputs: dict, *, far_field=None,
                    warnings=()) -> Path:
     """Write a subcommand's computed results: the only step that touches disk.
 
-    Refuses to overwrite without ``--force``, prints ``warnings`` (scene
+    Refuses a target that exists and is not a regular file, and without
+    ``--force`` any target that exists; then prints ``warnings`` (scene
     validation entries), creates ``--out`` and writes each entry of
     ``outputs``: a map in the format its suffix names, or a JSON document.
     ``far_field`` is a ``(data, scene, wave, noise)`` tuple written as
     ``farfield.csv`` plus its ``farfield.json`` sidecar.
     """
     out_dir = Path(args.out)
-    names = [*(["farfield.csv", "farfield.json"] if far_field else []),
-             *outputs]
+    targets = [out_dir / name for name in
+               (*(["farfield.csv", "farfield.json"] if far_field else []), *outputs)]
+    odd = [str(path) for path in targets if path.exists() and not path.is_file()]
+    if odd:
+        raise OSError(f"outputs exist and are not regular files ({', '.join(odd)})")
     if not args.force:
-        clashes = [str(out_dir / name) for name in names
-                   if (out_dir / name).exists()]
+        clashes = [str(path) for path in targets if path.exists()]
         if clashes:
             raise FileExistsError("refusing to overwrite existing outputs "
                                   f"({', '.join(clashes)}); pass --force to allow")

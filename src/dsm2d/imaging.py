@@ -56,8 +56,9 @@ sin(k v s) odd, so rows v and -v get E + O and E - O with
 E = cos(k v s) @ W1 and O = sin(k v s) @ W2, each a real product with
 ``W.view(float)`` viewed as complex. Only the ceil(ny/2) rows with v >= 0
 are multiplied, in bands of ``BAND_ROWS`` rows, and row i's E - O goes to
-row ny - 1 - i. Two rules, measured with OpenBLAS 0.3.31 (Haswell kernels)
-at 1 and 2 threads, keep the bits independent of the thread count: W's nx
+row ny - 1 - i. Two rules, measured with OpenBLAS 0.3.31 (Haswell kernels;
+the tests' BLAS probes also pass on its SkylakeX kernels) at 1 and 2
+threads, keep the bits independent of the thread count: W's nx
 complex columns are zero-padded to a multiple of 4 (at 802 real output
 columns the last 2 differed), and the inner dimension is cut into
 ``GEMM_CHUNK``-wide pieces whose products are summed in order (from an

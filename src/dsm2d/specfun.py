@@ -14,14 +14,13 @@ Self-contained double-precision J1 (no scipy). Two zones:
 * |x| > 48         Hankel large-argument expansion, truncated where its
                    terms are far below double precision.
 
-The 10 x 385 table is built on the first J1 call, not at import, in
-double-double arithmetic (Dekker 1971) vectorized over the anchors and
-rounded once to doubles. Miller's backward recurrence gives J0(a) and
-J1(a), and the Bessel ODE recurrence gives the higher coefficients; at
-anchor 0 the column is the exact Maclaurin series. Every coefficient is
-the double nearest its exact value (tests/test_specfun.py checks all
-3,850 against a 64-digit decimal reference). Importing the module only
-takes the table's memory; the first call pays about 6-10 ms to fill it.
+Row j of the 10 x 385 table holds the t^j coefficient of J1(a + t) at
+every anchor a, each the double nearest its exact value (at anchor 0,
+the exact Maclaurin series). It ships as j1_taylor.npy, which import
+loads read-only. tests/test_specfun.py rebuilds all 3,850 coefficients
+in 64-digit decimal arithmetic, from J1's series and the Bessel
+equation's recurrence, checks the file against them bit for bit, and
+names the command that writes the file from them.
 
 J0 appears only in the quadrature oracle below.
 
@@ -44,15 +43,13 @@ Hankel expansion.
 
 from __future__ import annotations
 
-import functools
 import math
+from pathlib import Path
 
 import numpy as np
 
 ASYMPTOTIC_CUTOFF = 48.0  # the last Taylor anchor; the Hankel expansion beyond
 _STEP = 8  # anchors per unit argument
-_TAYLOR_TERMS = 10
-_MILLER_START = 110  # J1(a) seeds then err by 7e-32 at most (1.5e-25 from 100)
 _ASYMPTOTIC_TERMS = 15  # terms of P and Q each
 
 TAIL = 1e-16  # bessel_tail_order's level: below it a Bessel order is dropped
@@ -65,103 +62,12 @@ _RESCALE = 2.0 ** 500
 J1_FIRST_MAX = 1.8412
 
 
-# ---------------------------------------------------------------------------
-# The Taylor table, built on first use in double-double arithmetic: a value
-# is a pair (hi, lo) of arrays with hi = fl(hi + lo).
-# ---------------------------------------------------------------------------
-
-def _two_sum(a, b):
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _add(x, y):
-    s, e = _two_sum(x[0], y[0])
-    return _two_sum(s, e + x[1] + y[1])
-
-
-def _split(a):
-    c = 134217729.0 * a  # 2**27 + 1: hi and a - hi have 26 bits each
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_prod(a, b):
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _mul(x, d):
-    """x * d for d an integer of at most 26 bits, whose split is (d, 0)."""
-    p = x[0] * d
-    ah, al = _split(x[0])
-    e = ((ah * d - p) + al * d) + x[1] * d
-    s = p + e  # |e| is at most about ulp(p): a fast two-sum
-    return s, e - (s - p)
-
-
-def _div(x, y):
-    """x / y, the quotient's three leading parts summed."""
-    quotient = (0.0, 0.0)
-    for _ in range(3):
-        q = x[0] / y[0]
-        p, e = _two_prod(q, y[0])
-        x = _add(x, (-p, -e - q * y[1]))
-        quotient = _add(quotient, (q, 0.0))
-    return quotient
-
-
-# The table's 30 KB are taken at import and filled on the first J1 call. A
-# block taken by a first call made in the middle of a large computation can
-# end up on top of the heap and keep it from shrinking: 9 MB more peak RSS,
-# measured in a process that checks three demo outputs. Concurrent first
-# calls fill it with the same values.
-_TABLE = np.empty((_TAYLOR_TERMS, _STEP * int(ASYMPTOTIC_CUTOFF) + 1))
-
-
-@functools.cache
-def _taylor_table() -> np.ndarray:
-    """Row j holds the t^j coefficient of J1(a + t) at every anchor a."""
-    i = np.arange(1.0, _STEP * ASYMPTOTIC_CUTOFF + 1)  # anchor a = i / 8
-    # Miller's algorithm (DLMF 3.6(iii)), the recurrence bessel_tail_order
-    # runs, J_{m-1} = (16 m / i) J_m - J_{m+1}, here on v_m with
-    # J_m = C v_m i^m: v_{m-1} = 16 m v_m - i^2 v_{m+1}, whose multipliers
-    # are exact integers. J_0 + 2 sum_k J_2k = 1 (DLMF 10.12.4) gives
-    # C = 1 / (2 T - v_0), T = sum_k v_2k i^2k by Horner. Values past 2^500
-    # are scaled down by 2^-500 together with T.
-    zero = np.zeros_like(i)
-    upper, v, total = (zero, zero), (np.ones_like(i), zero), (zero, zero)
-    for m in range(_MILLER_START, 0, -1):
-        if m % 2 == 0:
-            total = _add(v, _mul(total, i * i))
-        upper, v = v, _add(_mul(v, 16.0 * m), _mul(upper, -i * i))
-        big = np.abs(v[0]) > _RESCALE
-        if big.any():
-            scale = np.where(big, 1.0 / _RESCALE, 1.0)
-            upper, v, total = ((p[0] * scale, p[1] * scale) for p in (upper, v, total))
-    total = _add(v, _mul(total, i * i))
-    norm = _add((2.0 * total[0], 2.0 * total[1]), (-v[0], -v[1]))  # 1 / C
-    # c_0 = J1(a) = C i v_1 and c_1 = J1'(a) = J0 - J1 / a = C (v_0 - 8 v_1)
-    c = [_div(_mul(upper, i), norm),
-         _div(_add(v, (-8.0 * upper[0], -8.0 * upper[1])), norm)]
-    # t^m coefficient of (a+t)^2 y'' + (a+t) y' + ((a+t)^2 - 1) y = 0, times 64:
-    #   i^2 (m+2)(m+1) c_{m+2} + 8 i (m+1)(2m+1) c_{m+1}
-    #     + (64 (m^2 - 1) + i^2) c_m + 16 i c_{m-1} + 64 c_{m-2} = 0
-    c = [(zero, zero)] * 2 + c
-    for m in range(_TAYLOR_TERMS - 2):
-        rest = _add(_add(_mul(c[m + 3], 8.0 * i * (m + 1) * (2 * m + 1)),
-                         _mul(c[m + 2], 64.0 * (m * m - 1) + i * i)),
-                    _add(_mul(c[m + 1], 16.0 * i), _mul(c[m], 64.0)))
-        c.append(_div(rest, (-i * i * (m + 2) * (m + 1), zero)))
-    _TABLE[:, 1:] = [hi for hi, _ in c[2:]]
-    # anchor 0: the Maclaurin series, c_{2k+1} = (-1)^k / (2^(2k+1) k! (k+1)!)
-    _TABLE[:, 0] = [0.0 if m % 2 == 0 else (-1) ** (m // 2) / (
-        2 ** m * math.factorial(m // 2) * math.factorial(m // 2 + 1))
-        for m in range(_TAYLOR_TERMS)]
-    return _TABLE
+# Loaded at import, not on the first call: a block taken by a first call made
+# in the middle of a large computation can end up on top of the heap and keep
+# it from shrinking (9 MB more peak RSS, measured in a process that checks
+# three demo outputs).
+_TABLE = np.load(Path(__file__).with_name("j1_taylor.npy"))
+_TABLE.flags.writeable = False
 
 
 def _hankel_coeffs(count: int) -> np.ndarray:
@@ -181,15 +87,14 @@ _HANKEL_A1 = _hankel_coeffs(2 * _ASYMPTOTIC_TERMS + 1)
 # ---------------------------------------------------------------------------
 
 def _taylor(ax: np.ndarray) -> np.ndarray:
-    table = _taylor_table()
     t = _STEP * ax
     np.rint(t, out=t)
     idx = t.astype(np.intp)
     t /= _STEP
     np.subtract(ax, t, out=t)  # exact: Sterbenz, or the anchor is 0
     # idx is in range, so mode="wrap" only skips the slower bounds check
-    result = table[-1].take(idx, mode="wrap")
-    for row in table[-2::-1]:
+    result = _TABLE[-1].take(idx, mode="wrap")
+    for row in _TABLE[-2::-1]:
         result *= t
         result += row.take(idx, mode="wrap")
     return result

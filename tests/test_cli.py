@@ -85,6 +85,47 @@ def test_overwrite_needs_force(tmp_path, capsys):
     assert _read_bytes(out, names) != before
 
 
+_EXAMPLE_FILES = ("farfield.csv", "farfield.json", "scene.json", "map.csv", "map.pgm",
+                  "peaks.json", "analytic_map.csv", "analytic_map.pgm",
+                  "predicted_peaks.json", "report.json")
+
+
+def _tree(directory):
+    return {str(p.relative_to(directory)): p.is_file() and p.read_bytes()
+            for p in sorted(directory.rglob("*"))}
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-a-run"])
+@pytest.mark.parametrize("name", _EXAMPLE_FILES)
+def test_a_target_that_is_no_regular_file_fails_before_any_write(tmp_path, capsys,
+                                                                 name, earlier):
+    out = tmp_path / "out"
+    grid = "--grid=-1,1,-1,1,0.05"
+    if earlier:  # a complete run of ex1; ex2 would change every file
+        assert main(["example", "ex1", grid, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(_EXAMPLE_FILES)
+        (out / name).unlink()
+    (out / name).mkdir(parents=True)
+    (out / name / "kept.txt").write_text("kept\n")
+    before = _tree(out)
+    capsys.readouterr()
+    assert main(["example", "ex2", grid, "--out", str(out), "--force"]) == 2
+    assert str(out / name) in _one_error_line(capsys)
+    assert _tree(out) == before
+
+
+def test_a_target_that_is_no_regular_file_fails_before_the_warnings(tmp_path, capsys):
+    doc = _scene_doc()
+    doc["inclusions"][0]["radius"] = 0.3  # beyond half the wavelength: a warning
+    scene_file = tmp_path / "scene.json"
+    scene_file.write_text(json.dumps(doc))
+    (tmp_path / "out" / "farfield.json").mkdir(parents=True)
+    assert main(["synthesize", "--scene", str(scene_file),
+                 "--out", str(tmp_path / "out"), "--force"]) == 2
+    assert "not regular files" in _one_error_line(capsys)
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["farfield.json"]
+
+
 def test_bad_grid_spec_exits_2(tmp_path, scene_file):
     assert main(["predict", "--scene", str(scene_file),
                  "--grid", "0,1,0,1", "--out", str(tmp_path / "p")]) == 2

@@ -99,14 +99,17 @@ def test_derivative_identity():
         assert abs(j0_prime + bessel_j1(x)) < 1e-8
 
 
-def test_import_builds_no_table_and_imports_no_decimal(fresh_python):
-    # The Taylor table is built on the first J1 call, in double-double
-    # arithmetic: importing the package does neither.
-    probe = ("import sys; import dsm2d; from dsm2d import specfun; "
-             "print('decimal' in sys.modules, specfun._taylor_table.cache_info().currsize); "
-             "specfun.bessel_j1(1.0); "
-             "print('decimal' in sys.modules, specfun._taylor_table.cache_info().currsize)")
-    assert fresh_python(probe).split() == ["False", "0", "False", "1"]
+def test_import_loads_the_table_read_only_and_imports_no_decimal(fresh_python):
+    # Import loads the shipped table; the first J1 call builds nothing (a
+    # table built on that call would take over 150 KB on the way).
+    probe = ("import sys, tracemalloc; import dsm2d; from dsm2d import specfun; "
+             "t = specfun._TABLE; "
+             "print(t.dtype, t.shape, t.flags.writeable, 'decimal' in sys.modules); "
+             "tracemalloc.start(); specfun.bessel_j1(1.0); "
+             "print(tracemalloc.get_traced_memory()[1])")
+    head, peak = fresh_python(probe).splitlines()
+    assert head == "float64 (10, 385) False False"
+    assert int(peak) < 16_000
 
 
 def test_j1_at_huge_arguments_is_finite_and_warning_free():
@@ -181,19 +184,24 @@ def _horner(table: np.ndarray, ax: np.ndarray) -> np.ndarray:
     return want
 
 
-def test_every_taylor_coefficient_is_the_nearest_double():
-    from dsm2d.specfun import _taylor_table
+# Rewrites src/dsm2d/j1_taylor.npy from the reference; run from the repository root.
+_WRITE_TABLE = ("PYTHONPATH=src:tests python -c 'import numpy as np, test_specfun as t; "
+                "np.save(\"src/dsm2d/j1_taylor.npy\", t._reference_table(10))'")
 
-    table = _taylor_table()
-    assert table.tobytes() == _reference_table(table.shape[0]).tobytes()
+
+def test_every_taylor_coefficient_is_the_nearest_double():
+    from dsm2d.specfun import _TABLE as table
+
+    assert table.tobytes() == _reference_table(table.shape[0]).tobytes(), (
+        f"j1_taylor.npy differs from the 64-digit reference; rewrite it with: {_WRITE_TABLE}")
     assert not np.any(table[::2, 0])  # anchor 0: J1 is odd, even terms are 0.0
 
 
 def test_taylor_zone_matches_row_gather_horner_bitwise():
-    from dsm2d.specfun import _taylor, _taylor_table
+    from dsm2d.specfun import _TABLE, _taylor
 
     ax = np.random.default_rng(11).uniform(0.0, ASYMPTOTIC_CUTOFF, size=5000)
-    assert np.array_equal(_taylor(ax), _horner(_taylor_table(), ax))
+    assert np.array_equal(_taylor(ax), _horner(_TABLE, ax))
 
 
 def test_taylor_zone_rounds_like_the_26_term_series():
@@ -218,9 +226,8 @@ def test_taylor_zone_rounds_like_the_26_term_series():
 
 def test_every_taylor_anchor_is_reachable():
     # one column per anchor 0, 1/8, ..., 48; the last one is J1(48) itself
-    from dsm2d.specfun import _taylor_table
+    from dsm2d.specfun import _TABLE as table
 
-    table = _taylor_table()
     assert table.shape == (10, 8 * ASYMPTOTIC_CUTOFF + 1)
     assert bessel_j1(ASYMPTOTIC_CUTOFF) == table[0, -1]
     assert bessel_j1(np.nextafter(ASYMPTOTIC_CUTOFF, np.inf)) != table[0, -1]
